@@ -6,7 +6,8 @@ Subcommands:
     fit        two-step estimation on a CSV dataset, JSON report output
     mc         replicated simulation study driven by a JSON config file
 
-Exit codes: 0 success, 2 usage or configuration problem, 3 simulation
+Exit codes: 0 success, 2 usage or configuration problem (including a
+negative knot count or a rank-deficient first-step spline fit), 3 simulation
 failure (trajectory blow-up), 4 identifiability failure, 5 too many failed
 replications.
 """
@@ -188,13 +189,22 @@ def cmd_fit(args) -> int:
             try:
                 count = int(args.knots)
             except ValueError:
-                print(f"error: --knots expects 'auto' or an integer, got {args.knots!r}", file=sys.stderr)
+                count = -1
+            if count < 0:
+                print(f"error: --knots expects 'auto' or an integer >= 0, got {args.knots!r}", file=sys.stderr)
                 return EXIT_USAGE
             interior = tuple(np.linspace(interval[0], interval[1], count + 2)[1:-1])
             knots = KnotSequence(interval, interior, order=4)
         fit = fit_least_squares(BSplineBasis(knots), data.times, data.states)
     except (DegreesOfFreedomError, GradMatchError) as err:
         print(f"error: first-step fit failed: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    if fit.rank_deficient:
+        print(
+            f"error: first-step fit is rank-deficient: {fit.basis.dimension} spline coefficients "
+            f"for n = {data.times.size} observations; use fewer knots",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
 
     weight = (

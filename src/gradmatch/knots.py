@@ -4,16 +4,27 @@ The selector scores cubic-spline knot subsets with GCV, using effective
 parameter count 3m + 1 for m interior knots, and walks the subsets of a
 uniform candidate grid with alternating elimination and addition sweeps.  All
 state dimensions share the knots; their residual sums pool into one score.
+
+Every subset S of the candidate grid spans a subspace of the full grid's
+spline space: B_S = B_grid T_S, where T_S refines S to the grid by Boehm knot
+insertion.  The walk therefore reduces [B_grid | Y] to its R factor once per
+search and scores every trial on that factor, at a cost that does not depend
+on the sample size.  Dropping knot xi from S constrains the jump of the
+(order - 1)-th derivative at xi to zero; adding xi to S adds the direction of
+the truncated power (t - xi)_+^(order - 1).  Each sweep is scored in one batch
+from a thin QR of R_B T_S.  `gcv_score` stays the definition: it scores any
+sweep whose small factor is rank-deficient, and the chosen subset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegreesOfFreedomError, TooFewObservationsError
-from .splines import BSplineBasis, KnotSequence, design_matrix
+from .splines import BSplineBasis, KnotSequence, design_matrix, eval_basis_derivative
 from . import splines
 
 # sample-size brackets for the default candidate count
@@ -48,12 +59,18 @@ class KnotPolicy:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Outcome of a knot search: chosen subset, its score, and bookkeeping."""
+    """Outcome of a knot search: chosen subset, its score, and bookkeeping.
+
+    trials counts the knot subsets the search scored; sweeps counts its
+    elimination-and-addition rounds (at most the policy's max_sweeps).
+    """
 
     selected_knots: tuple[float, ...]
     gcv_value: float
     effective_params: int
     candidates: tuple[float, ...]
+    trials: int = 0
+    sweeps: int = 0
 
 
 def default_knot_count(n: int) -> int:
@@ -111,6 +128,184 @@ def _subset_score(times, ys, subset, order, interval):
         return np.inf
 
 
+def _insertion_weights(tau: np.ndarray, order: int, x: float) -> np.ndarray:
+    """Boehm weights w for inserting x into the augmented knot vector tau.
+
+    The refined coefficients are d_i = w_i c_i + (1 - w_i) c_(i-1), for
+    i = 0 .. len(tau) - order.
+    """
+    mu = int(np.searchsorted(tau, x, side="right")) - 1
+    w = np.zeros(len(tau) - order + 1)
+    w[: mu - order + 2] = 1.0
+    band = np.arange(mu - order + 2, mu + 1)
+    w[band] = (x - tau[band]) / (tau[band + order - 1] - tau[band])
+    return w
+
+
+def _truncated_power_coefficients(tau: np.ndarray, order: int, knots: np.ndarray, scale: float) -> np.ndarray:
+    """B-spline coefficients on tau of ((t - xi) / scale)_+^(order - 1), one column per knot xi.
+
+    Marsden's identity: the coefficient of B_i is prod_(r=1..order-1) of
+    (tau_(i+r) - xi) / scale when B_i starts at or after xi, and 0 otherwise.
+    """
+    first = tau[: len(tau) - order, None]
+    coef = np.ones((first.shape[0], knots.size))
+    for r in range(1, order):
+        coef *= (tau[r : r + first.shape[0], None] - knots[None, :]) / scale
+    return np.where(first >= knots[None, :], coef, 0.0)
+
+
+@dataclass(frozen=True)
+class _LeastSquares:
+    """Least squares of R_Y on the columns of R_B T_S, by thin QR."""
+
+    q: np.ndarray
+    r: np.ndarray
+    qty: np.ndarray
+    resid: np.ndarray
+    rss: np.ndarray
+
+
+class _Subset:
+    """A knot subset of the grid (sorted indices) and its refinement matrix T_S."""
+
+    def __init__(self, space: _NestedSpace, idx: list, refine: np.ndarray):
+        self.space = space
+        self.idx = idx
+        self.refine = refine
+
+    @cached_property
+    def fit(self) -> _LeastSquares | None:
+        """The subset's fit on the grid's R factor; None if it is rank-deficient."""
+        return self.space.least_squares(self.refine)
+
+    def without(self, pos: int) -> _Subset:
+        # B_(S - xi) = B_S A, A inserting xi back: T changes in `order` columns
+        space, idx = self.space, self.idx[:pos] + self.idx[pos + 1 :]
+        w = _insertion_weights(space.augmented(idx), space.order, space.grid[self.idx[pos]])
+        return _Subset(space, idx, w[:-1] * self.refine[:, :-1] + (1.0 - w[1:]) * self.refine[:, 1:])
+
+    def with_knot(self, j: int) -> _Subset:
+        idx = sorted(self.idx + [j])
+        return _Subset(self.space, idx, self.space.refinement(idx))
+
+
+class _NestedSpace:
+    """GCV of the subsets of one candidate grid, scored on the R factor of [B_grid | Y].
+
+    Counts every subset it scores in `trials`.
+    """
+
+    def __init__(self, ts, ys, interval, grid, order):
+        self.ts, self.ys, self.interval, self.grid, self.order = ts, ys, interval, grid, order
+        self.n = ts.size
+        self.trials = 0
+        basis = BSplineBasis(KnotSequence(interval, tuple(grid), order))
+        design = design_matrix(basis, ts)
+        dim = design.shape[1]
+        r = np.linalg.qr(np.hstack((design, ys)), mode="r")
+        self.rb, self.ry = r[:, :dim], r[:, dim:]
+        # the (order-1)-th derivative is constant on each span; row j is its jump at grid[j]
+        bps = basis.knots.breakpoints
+        top = eval_basis_derivative(basis, 0.5 * (bps[:-1] + bps[1:]), order - 1)
+        self.jumps = np.diff(top, axis=0)
+        lo, hi = interval
+        self.directions = self.rb @ _truncated_power_coefficients(basis.augmented, order, grid, hi - lo)
+
+    def full(self) -> _Subset:
+        return _Subset(self, list(range(self.grid.size)), np.eye(self.grid.size + self.order))
+
+    def augmented(self, idx) -> np.ndarray:
+        lo, hi = self.interval
+        return np.concatenate((np.full(self.order, lo), self.grid[idx], np.full(self.order, hi)))
+
+    def refinement(self, idx) -> np.ndarray:
+        """T_S: insert the grid knots missing from S into the identity, one at a time."""
+        tau = self.augmented(idx)
+        refine = np.eye(len(idx) + self.order)
+        for x in np.delete(self.grid, idx):
+            w = _insertion_weights(tau, self.order, x)
+            rows = np.zeros((refine.shape[0] + 1, refine.shape[1]))
+            rows[:-1] = w[:-1, None] * refine
+            rows[1:] += (1.0 - w[1:, None]) * refine
+            refine = rows
+            tau = np.insert(tau, np.searchsorted(tau, x), x)
+        return refine
+
+    def least_squares(self, refine) -> _LeastSquares | None:
+        """Fit on the columns of R_B T_S, or None if they are rank-deficient at SV_CUTOFF.
+
+        B_S = Q R_B T_S with Q orthonormal, so both share singular values.
+        """
+        q, r = np.linalg.qr(self.rb @ refine)
+        sv = np.linalg.svd(r, compute_uv=False)
+        if sv.size < refine.shape[1] or sv[-1] <= splines.SV_CUTOFF * sv[0]:
+            return None
+        qty = q.T @ self.ry
+        resid = self.ry - q @ qty
+        return _LeastSquares(q, r, qty, resid, np.sum(resid**2, axis=0))
+
+    def _gcv(self, rss, num_knots):
+        return np.sum(rss / self.n, axis=-1) / (1.0 - effective_params(num_knots) / self.n) ** 2
+
+    def _scores(self, subset: _Subset, trials: list, num_knots: int, nested) -> np.ndarray:
+        """Scores of the trial subsets of m = num_knots knots each.
+
+        +inf when 3m + 1 >= n; else nested(subset.fit); else, when the
+        subset's fit is rank-deficient or nested returns None, gcv_score.
+        """
+        self.trials += len(trials)
+        if effective_params(num_knots) >= self.n:
+            return np.full(len(trials), np.inf)
+        fit = subset.fit
+        scores = None if fit is None else nested(fit)
+        if scores is None:
+            scores = np.array(
+                [_subset_score(self.ts, self.ys, self.grid[t], self.order, self.interval) for t in trials]
+            )
+        return scores
+
+    def score(self, subset: _Subset) -> float:
+        m = len(subset.idx)
+        return float(self._scores(subset, [subset.idx], m, lambda fit: self._gcv(fit.rss[None, :], m))[0])
+
+    def drop_scores(self, subset: _Subset) -> np.ndarray:
+        """Scores of S without its pos-th knot, for every pos.
+
+        The RSS rises by (J c)^2 / |R_S^-T J'|^2, with J the jump row at the knot.
+        """
+        idx = subset.idx
+
+        def nested(fit):
+            w = np.linalg.solve(fit.r.T, (self.jumps[idx] @ subset.refine).T)
+            rise = (w.T @ fit.qty) ** 2 / np.sum(w**2, axis=0)[:, None]
+            return self._gcv(fit.rss + rise, len(idx) - 1)
+
+        return self._scores(subset, [idx[:p] + idx[p + 1 :] for p in range(len(idx))], len(idx) - 1, nested)
+
+    def add_scores(self, subset: _Subset, pool: list) -> np.ndarray:
+        """Scores of S plus knot j, for every j in pool.
+
+        With h_j the direction g_j = R_B tau_j made orthogonal to R_B T_S, the
+        RSS falls by (h_j' E)^2 / |h_j|^2.  If some |h_j| <= sqrt(SV_CUTOFF) |g_j|,
+        that trial is numerically rank-deficient and the sweep is scored by
+        gcv_score.
+        """
+        idx = subset.idx
+
+        def nested(fit):
+            g = self.directions[:, pool]
+            h = g - fit.q @ (fit.q.T @ g)
+            h -= fit.q @ (fit.q.T @ h)  # a second pass keeps h orthogonal to rounding level
+            hh = np.sum(h**2, axis=0)
+            if np.any(hh <= splines.SV_CUTOFF * np.sum(g**2, axis=0)):
+                return None
+            fall = (h.T @ fit.resid) ** 2 / hh[:, None]
+            return self._gcv(fit.rss - fall, len(idx) + 1)
+
+        return self._scores(subset, [sorted(idx + [j]) for j in pool], len(idx) + 1, nested)
+
+
 def elim_add(times, y, interval, candidate_count: int, order: int = 4, max_sweeps: int = 10) -> SelectionResult:
     """Greedy subset walk over a uniform candidate grid, guided by GCV.
 
@@ -121,55 +316,46 @@ def elim_add(times, y, interval, candidate_count: int, order: int = 4, max_sweep
     effective parameters for the sample (score undefined, treated as +inf),
     elimination is forced so the walk always reaches scoreable territory.
     Ties break toward the smaller knot index, so the walk is deterministic.
+    Trials are scored in the grid's nested spline space (see the module
+    docstring); the returned gcv_value is gcv_score of the chosen subset.
     """
     ts = np.asarray(times, dtype=float)
     ys = np.asarray(y, dtype=float)
     if ys.ndim == 1:
         ys = ys[:, None]
     grid = uniform_knots(interval, candidate_count)
-    current = list(range(candidate_count))
-    current_score = _subset_score(ts, ys, grid[current], order, interval)
-    best_subset, best_score = list(current), current_score
+    space = _NestedSpace(ts, ys, interval, grid, order)
+    current = space.full()
+    current_score = space.score(current)
+    best_subset, best_score = current.idx, current_score
 
-    def knots_of(idx):
-        return grid[np.asarray(idx, dtype=int)]
-
-    for _ in range(max_sweeps):
+    sweeps = 0
+    for sweeps in range(1, max_sweeps + 1):
         changed = False
 
-        while current:
-            drop_pos, drop_score = None, np.inf
-            for pos in range(len(current)):
-                trial = current[:pos] + current[pos + 1 :]
-                s = _subset_score(ts, ys, knots_of(trial), order, interval)
-                if s < drop_score:
-                    drop_pos, drop_score = pos, s
+        while current.idx:
+            scores = space.drop_scores(current)
+            pos = int(np.argmin(scores))  # first minimum; all +inf still shrinks at 0
             forced = not np.isfinite(current_score)
-            if drop_pos is None:
-                drop_pos = 0  # everything scored +inf; still shrink deterministically
-            if forced or drop_score < current_score:
-                current = current[:drop_pos] + current[drop_pos + 1 :]
-                current_score = drop_score
+            if forced or scores[pos] < current_score:
+                current, current_score = current.without(pos), float(scores[pos])
                 changed = True
                 if current_score < best_score:
-                    best_subset, best_score = list(current), current_score
+                    best_subset, best_score = current.idx, current_score
             else:
                 break
 
         while True:
-            pool = [j for j in range(candidate_count) if j not in current]
-            add_j, add_score = None, np.inf
-            for j in pool:
-                trial = sorted(current + [j])
-                s = _subset_score(ts, ys, knots_of(trial), order, interval)
-                if s < add_score:
-                    add_j, add_score = j, s
-            if add_j is not None and add_score < current_score:
-                current = sorted(current + [add_j])
-                current_score = add_score
+            pool = [j for j in range(candidate_count) if j not in current.idx]
+            if not pool:
+                break
+            scores = space.add_scores(current, pool)
+            pos = int(np.argmin(scores))
+            if scores[pos] < current_score:
+                current, current_score = current.with_knot(pool[pos]), float(scores[pos])
                 changed = True
                 if current_score < best_score:
-                    best_subset, best_score = list(current), current_score
+                    best_subset, best_score = current.idx, current_score
             else:
                 break
 
@@ -180,11 +366,14 @@ def elim_add(times, y, interval, candidate_count: int, order: int = 4, max_sweep
         raise DegreesOfFreedomError(
             f"no scoreable knot subset for n = {ts.size} and {candidate_count} candidates"
         )
+    chosen = grid[np.asarray(best_subset, dtype=int)]
     return SelectionResult(
-        selected_knots=tuple(float(v) for v in knots_of(best_subset)),
-        gcv_value=float(best_score),
+        selected_knots=tuple(float(v) for v in chosen),
+        gcv_value=gcv_score(ts, ys, chosen, order, interval),
         effective_params=effective_params(len(best_subset)),
         candidates=tuple(float(v) for v in grid),
+        trials=space.trials,
+        sweeps=sweeps,
     )
 
 
@@ -200,5 +389,6 @@ def select_knots(times, y, interval, policy: KnotPolicy) -> SelectionResult:
             gcv_value=float(score),
             effective_params=effective_params(count),
             candidates=tuple(float(v) for v in grid),
+            trials=1,
         )
     return elim_add(ts, y, interval, count, policy.order, policy.max_sweeps)

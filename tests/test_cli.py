@@ -186,6 +186,24 @@ class TestFit:
         theta = np.array(json.loads(report_path.read_text())["theta_hat"])
         assert np.all(np.isfinite(theta))
 
+    @pytest.mark.parametrize("knots", ["-1", "x"])
+    def test_bad_knot_count_exits_2(self, case1_n500, knots, capsys):
+        code = main(["fit", "--data", str(case1_n500), "--model", "glv", "--knots", knots])
+        assert code == 2
+        assert "--knots" in capsys.readouterr().err
+
+    def test_rank_deficient_spline_exits_2(self, tmp_path, capsys):
+        # 500 uniform knots on 200 points leave most spans empty
+        data = tmp_path / "n200.csv"
+        assert main(simulate_args(data, n=200)) == 0
+        capsys.readouterr()
+        code = main(["fit", "--data", str(data), "--model", "glv", "--knots", "500"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "rank-deficient" in captured.err
+        assert "504 spline coefficients" in captured.err and "n = 200" in captured.err
+        assert "theta_hat" not in captured.out
+
     def test_bad_fixed_pair_exits_2(self, case1_n500):
         assert (
             main(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gradmatch import DegreesOfFreedomError, TooFewObservationsError
+from gradmatch import knots
 from gradmatch.knots import (
     KnotPolicy,
     SelectionResult,
@@ -16,7 +17,97 @@ from gradmatch.knots import (
     select_knots,
     uniform_knots,
 )
+from gradmatch.montecarlo import ExperimentConfig, simulate_data
 from gradmatch.splines import BSplineBasis, KnotSequence, design_matrix
+
+CYCLE = dict(theta_star=(0.0, -1.5, 1.0, 2.0, 0.0, -1.5), fixed={"a1": 0.0, "b2": 0.0}, x0=(1.0, 2.0))
+DAMPED = dict(theta_star=(0.0, -1.5, 1.0, 1.5, -1.0, -1.5), fixed={"a1": 0.0, "b2": -1.0}, x0=(4.0, 2.0))
+STUDY_SEED = 20260815
+
+
+def reference_elim_add(times, y, interval, candidate_count, order=4, max_sweeps=10):
+    """The elimination/addition walk with every trial scored by gcv_score.
+
+    It is the oracle for elim_add; its trials counts its gcv_score calls.
+    """
+    ts = np.asarray(times, dtype=float)
+    ys = np.asarray(y, dtype=float)
+    if ys.ndim == 1:
+        ys = ys[:, None]
+    grid = uniform_knots(interval, candidate_count)
+    calls = 0
+
+    def score(idx):
+        nonlocal calls
+        calls += 1
+        try:
+            return gcv_score(ts, ys, grid[np.asarray(idx, dtype=int)], order, interval)
+        except DegreesOfFreedomError:
+            return np.inf
+
+    current = list(range(candidate_count))
+    current_score = score(current)
+    best_subset, best_score = list(current), current_score
+
+    sweeps = 0
+    for sweeps in range(1, max_sweeps + 1):
+        changed = False
+
+        while current:
+            drop_pos, drop_score = None, np.inf
+            for pos in range(len(current)):
+                s = score(current[:pos] + current[pos + 1 :])
+                if s < drop_score:
+                    drop_pos, drop_score = pos, s
+            forced = not np.isfinite(current_score)
+            if drop_pos is None:
+                drop_pos = 0  # everything scored +inf; still shrink deterministically
+            if forced or drop_score < current_score:
+                current = current[:drop_pos] + current[drop_pos + 1 :]
+                current_score = drop_score
+                changed = True
+                if current_score < best_score:
+                    best_subset, best_score = list(current), current_score
+            else:
+                break
+
+        while True:
+            pool = [j for j in range(candidate_count) if j not in current]
+            add_j, add_score = None, np.inf
+            for j in pool:
+                s = score(sorted(current + [j]))
+                if s < add_score:
+                    add_j, add_score = j, s
+            if add_j is not None and add_score < current_score:
+                current = sorted(current + [add_j])
+                current_score = add_score
+                changed = True
+                if current_score < best_score:
+                    best_subset, best_score = list(current), current_score
+            else:
+                break
+
+        if not changed:
+            break
+
+    if not np.isfinite(best_score):
+        raise DegreesOfFreedomError(f"no scoreable knot subset for n = {ts.size}")
+    return SelectionResult(
+        selected_knots=tuple(float(v) for v in grid[np.asarray(best_subset, dtype=int)]),
+        gcv_value=float(best_score),
+        effective_params=effective_params(len(best_subset)),
+        candidates=tuple(float(v) for v in grid),
+        trials=calls,
+        sweeps=sweeps,
+    )
+
+
+def study_datasets(design, n, reps):
+    """Observations of replications 0 .. reps-1 of an acceptance-style study."""
+    config = ExperimentConfig(model="glv", n=n, sigma=0.2, replications=reps, seed=STUDY_SEED, **design)
+    for rep in range(reps):
+        times, ys = simulate_data(config, rep)
+        yield rep, times, ys, config.interval
 
 
 class TestDefaults:
@@ -158,6 +249,118 @@ class TestElimAdd:
         assert len(result.selected_knots) >= 1
 
 
+def nested_case(rng, n, order, dims, candidate_count):
+    """Jittered sample, its nested space, and a random knot subset with room to add."""
+    interval = (0.0, 1.0)
+    times = np.sort((np.arange(n) + rng.uniform(0.1, 0.9, n)) / n)
+    y = np.sin(2 * np.pi * times)[:, None] * np.arange(1, dims + 1) + 0.1 * rng.normal(size=(n, dims))
+    grid = uniform_knots(interval, candidate_count)
+    space = knots._NestedSpace(times, y, interval, grid, order)
+    size = rng.integers(1, min(candidate_count, (n - 5) // 3))
+    idx = sorted(int(j) for j in rng.choice(candidate_count, size, replace=False))
+    return times, y, interval, grid, space, knots._Subset(space, idx, space.refinement(idx))
+
+
+class TestNestedSpace:
+    """The nested scores against gcv_score, their definition."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_refinement_maps_subset_basis_into_grid_basis(self, order):
+        rng = np.random.default_rng(order)
+        times, _, interval, grid, space, subset = nested_case(rng, 60, order, 1, 12)
+        full = design_matrix(BSplineBasis(KnotSequence(interval, tuple(grid), order)), times)
+        part = design_matrix(BSplineBasis(KnotSequence(interval, tuple(grid[subset.idx]), order)), times)
+        np.testing.assert_allclose(full @ subset.refine, part, rtol=0, atol=1e-13)
+        # dropping a knot updates T_S in place of a rebuild
+        for pos in range(len(subset.idx)):
+            smaller = subset.without(pos)
+            np.testing.assert_allclose(smaller.refine, space.refinement(smaller.idx), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_truncated_power_coefficients(self, order):
+        interval = (0.0, 2.0)
+        grid = uniform_knots(interval, 7)
+        basis = BSplineBasis(KnotSequence(interval, tuple(grid), order))
+        ts = np.linspace(0.0, 2.0, 301)
+        coef = knots._truncated_power_coefficients(basis.augmented, order, grid, 2.0)
+        want = np.clip((ts[:, None] - grid[None, :]) / 2.0, 0.0, None) ** (order - 1)
+        np.testing.assert_allclose(design_matrix(basis, ts) @ coef, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("n", [20, 60, 500])
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_drop_and_add_scores_match_gcv_score(self, order, n, dims):
+        rng = np.random.default_rng(1000 * order + n + dims)
+        candidates = {20: 8, 60: 15, 500: 30}[n]
+        for _ in range(3):
+            times, y, interval, grid, space, subset = nested_case(rng, n, order, dims, candidates)
+            y_in = y[:, 0] if dims == 1 else y
+            assert subset.fit is not None  # the nested path, not the fallback
+            idx = subset.idx
+            want = [gcv_score(times, y_in, grid[idx[:p] + idx[p + 1 :]], order, interval) for p in range(len(idx))]
+            np.testing.assert_allclose(space.drop_scores(subset), want, rtol=1e-10, atol=0)
+            pool = [j for j in range(candidates) if j not in idx]
+            want = [gcv_score(times, y_in, grid[sorted(idx + [j])], order, interval) for j in pool]
+            np.testing.assert_allclose(space.add_scores(subset, pool), want, rtol=1e-10, atol=0)
+            assert space.score(subset) == pytest.approx(gcv_score(times, y_in, grid[idx], order, interval), rel=1e-10)
+
+
+class TestMatchesReferenceWalk:
+    @pytest.mark.parametrize("n", [20, 50, 200, 1000])
+    @pytest.mark.parametrize("design", [CYCLE, DAMPED], ids=["cycle", "damped"])
+    def test_study_replications(self, design, n):
+        # same knots, same gcv_value, and as many scored subsets as the
+        # reference makes gcv_score calls
+        for rep, times, ys, interval in study_datasets(design, n, 10):
+            count = default_knot_count(n)
+            assert elim_add(times, ys, interval, count) == reference_elim_add(times, ys, interval, count), rep
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            # no observations in (0.3, 0.7): the full grid is rank-deficient
+            np.concatenate((np.linspace(0.0, 0.3, 40), np.linspace(0.7, 1.0, 40))),
+            # none beyond the last candidate, 0.9: adding it back gives a
+            # direction that vanishes on the data
+            np.linspace(0.0, 0.88, 70),
+        ],
+        ids=["gap", "empty-tail"],
+    )
+    def test_rank_deficient_subsets_fall_back_to_gcv_score(self, times, monkeypatch):
+        rng = np.random.default_rng(9)
+        y = np.cos(4 * times) + 0.05 * rng.normal(size=times.size)
+        want = reference_elim_add(times, y, (0.0, 1.0), 9)
+        calls = []
+        monkeypatch.setattr(knots, "gcv_score", lambda *a: calls.append(a) or gcv_score(*a))
+        assert elim_add(times, y, (0.0, 1.0), 9) == want
+        assert len(calls) > 1  # more than the final rescoring of the chosen subset
+
+    def test_sweeps_bounded_by_max_sweeps(self):
+        rng = np.random.default_rng(10)
+        times = np.linspace(0.0, 1.0, 120)
+        y = np.sin(6 * times) + 0.2 * rng.normal(size=120)
+        for max_sweeps in (1, 2, 10):
+            got = elim_add(times, y, (0.0, 1.0), 12, max_sweeps=max_sweeps)
+            assert 1 <= got.sweeps <= max_sweeps
+            assert got == reference_elim_add(times, y, (0.0, 1.0), 12, max_sweeps=max_sweeps)
+
+
+@pytest.mark.slow
+def test_knots_equal_reference_on_acceptance_studies():
+    # every replication of the 200-replication cycle and damped studies at
+    # n = 500, and of studies at n = 20 and n = 1000
+    flips = []
+    for design, name in ((CYCLE, "cycle"), (DAMPED, "damped")):
+        for n in (20, 500, 1000):
+            count = default_knot_count(n)
+            for rep, times, ys, interval in study_datasets(design, n, 200):
+                got = elim_add(times, ys, interval, count)
+                want = reference_elim_add(times, ys, interval, count)
+                if got.selected_knots != want.selected_knots or got.gcv_value != want.gcv_value:
+                    flips.append((name, n, rep, got.gcv_value, want.gcv_value))
+    assert not flips, flips
+
+
 class TestSelectKnots:
     def test_fixed_uniform_policy(self):
         times = np.linspace(0.0, 1.0, 200)
@@ -186,3 +389,4 @@ class TestSelectKnots:
     def test_result_is_plain_data(self):
         result = SelectionResult((0.5,), 1.0, 4, (0.25, 0.5, 0.75))
         assert result.selected_knots == (0.5,)
+        assert (result.trials, result.sweeps) == (0, 0)
