@@ -6,10 +6,11 @@ uniform candidate grid with alternating elimination and addition sweeps.  All
 state dimensions share the knots; their residual sums pool into one score.
 
 Every subset S of the candidate grid spans a subspace of the full grid's
-spline space: B_S = B_grid T_S, where T_S refines S to the grid by Boehm knot
-insertion.  The walk therefore reduces [B_grid | Y] to its R factor once per
-search and scores every trial on that factor, at a cost that does not depend
-on the sample size.  Dropping knot xi from S constrains the jump of the
+spline space: B_S = B_grid T_S.  T_S comes from sampling S's B-splines at the
+grid's Greville sites, where B_grid is square and well conditioned.  The walk
+therefore reduces [B_grid | Y] to its R factor once per search and scores
+every trial on that factor, at a cost that does not depend on the sample
+size.  Dropping knot xi from S constrains the jump of the
 (order - 1)-th derivative at xi to zero; adding xi to S adds the direction of
 the truncated power (t - xi)_+^(order - 1).  Each sweep is scored in one batch
 from a thin QR of R_B T_S.  `gcv_score` stays the definition: it scores any
@@ -24,7 +25,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegreesOfFreedomError, TooFewObservationsError
-from .splines import BSplineBasis, KnotSequence, design_matrix, eval_basis_derivative
+from .splines import (
+    BSplineBasis,
+    KnotSequence,
+    design_matrix,
+    eval_basis,
+    eval_basis_derivative,
+    truncated_power_design,
+)
 from . import splines
 
 # sample-size brackets for the default candidate count
@@ -128,33 +136,6 @@ def _subset_score(times, ys, subset, order, interval):
         return np.inf
 
 
-def _insertion_weights(tau: np.ndarray, order: int, x: float) -> np.ndarray:
-    """Boehm weights w for inserting x into the augmented knot vector tau.
-
-    The refined coefficients are d_i = w_i c_i + (1 - w_i) c_(i-1), for
-    i = 0 .. len(tau) - order.
-    """
-    mu = int(np.searchsorted(tau, x, side="right")) - 1
-    w = np.zeros(len(tau) - order + 1)
-    w[: mu - order + 2] = 1.0
-    band = np.arange(mu - order + 2, mu + 1)
-    w[band] = (x - tau[band]) / (tau[band + order - 1] - tau[band])
-    return w
-
-
-def _truncated_power_coefficients(tau: np.ndarray, order: int, knots: np.ndarray, scale: float) -> np.ndarray:
-    """B-spline coefficients on tau of ((t - xi) / scale)_+^(order - 1), one column per knot xi.
-
-    Marsden's identity: the coefficient of B_i is prod_(r=1..order-1) of
-    (tau_(i+r) - xi) / scale when B_i starts at or after xi, and 0 otherwise.
-    """
-    first = tau[: len(tau) - order, None]
-    coef = np.ones((first.shape[0], knots.size))
-    for r in range(1, order):
-        coef *= (tau[r : r + first.shape[0], None] - knots[None, :]) / scale
-    return np.where(first >= knots[None, :], coef, 0.0)
-
-
 @dataclass(frozen=True)
 class _LeastSquares:
     """Least squares of R_Y on the columns of R_B T_S, by thin QR."""
@@ -169,25 +150,15 @@ class _LeastSquares:
 class _Subset:
     """A knot subset of the grid (sorted indices) and its refinement matrix T_S."""
 
-    def __init__(self, space: _NestedSpace, idx: list, refine: np.ndarray):
+    def __init__(self, space: _NestedSpace, idx: list):
         self.space = space
         self.idx = idx
-        self.refine = refine
+        self.refine = space.refinement(idx)
 
     @cached_property
     def fit(self) -> _LeastSquares | None:
         """The subset's fit on the grid's R factor; None if it is rank-deficient."""
         return self.space.least_squares(self.refine)
-
-    def without(self, pos: int) -> _Subset:
-        # B_(S - xi) = B_S A, A inserting xi back: T changes in `order` columns
-        space, idx = self.space, self.idx[:pos] + self.idx[pos + 1 :]
-        w = _insertion_weights(space.augmented(idx), space.order, space.grid[self.idx[pos]])
-        return _Subset(space, idx, w[:-1] * self.refine[:, :-1] + (1.0 - w[1:]) * self.refine[:, 1:])
-
-    def with_knot(self, j: int) -> _Subset:
-        idx = sorted(self.idx + [j])
-        return _Subset(self.space, idx, self.space.refinement(idx))
 
 
 class _NestedSpace:
@@ -209,28 +180,17 @@ class _NestedSpace:
         bps = basis.knots.breakpoints
         top = eval_basis_derivative(basis, 0.5 * (bps[:-1] + bps[1:]), order - 1)
         self.jumps = np.diff(top, axis=0)
-        lo, hi = interval
-        self.directions = self.rb @ _truncated_power_coefficients(basis.augmented, order, grid, hi - lo)
-
-    def full(self) -> _Subset:
-        return _Subset(self, list(range(self.grid.size)), np.eye(self.grid.size + self.order))
-
-    def augmented(self, idx) -> np.ndarray:
-        lo, hi = self.interval
-        return np.concatenate((np.full(self.order, lo), self.grid[idx], np.full(self.order, hi)))
+        # B_grid at its Greville sites is square and well conditioned, so the
+        # values there of any spline in the grid's space give its grid coefficients
+        self.sites = np.lib.stride_tricks.sliding_window_view(basis.augmented[1:-1], order - 1).mean(axis=1)
+        self.collocate = np.linalg.inv(eval_basis(basis, self.sites))
+        powers = truncated_power_design(interval, grid, order, self.sites)[:, order:]
+        self.directions = self.rb @ self.collocate @ powers
 
     def refinement(self, idx) -> np.ndarray:
-        """T_S: insert the grid knots missing from S into the identity, one at a time."""
-        tau = self.augmented(idx)
-        refine = np.eye(len(idx) + self.order)
-        for x in np.delete(self.grid, idx):
-            w = _insertion_weights(tau, self.order, x)
-            rows = np.zeros((refine.shape[0] + 1, refine.shape[1]))
-            rows[:-1] = w[:-1, None] * refine
-            rows[1:] += (1.0 - w[1:, None]) * refine
-            refine = rows
-            tau = np.insert(tau, np.searchsorted(tau, x), x)
-        return refine
+        """T_S, with B_S = B_grid T_S: the grid coefficients of each B-spline of S."""
+        basis = BSplineBasis(KnotSequence(self.interval, tuple(self.grid[idx]), self.order))
+        return self.collocate @ eval_basis(basis, self.sites)
 
     def least_squares(self, refine) -> _LeastSquares | None:
         """Fit on the columns of R_B T_S, or None if they are rank-deficient at SV_CUTOFF.
@@ -325,7 +285,7 @@ def elim_add(times, y, interval, candidate_count: int, order: int = 4, max_sweep
         ys = ys[:, None]
     grid = uniform_knots(interval, candidate_count)
     space = _NestedSpace(ts, ys, interval, grid, order)
-    current = space.full()
+    current = _Subset(space, list(range(candidate_count)))
     current_score = space.score(current)
     best_subset, best_score = current.idx, current_score
 
@@ -338,7 +298,8 @@ def elim_add(times, y, interval, candidate_count: int, order: int = 4, max_sweep
             pos = int(np.argmin(scores))  # first minimum; all +inf still shrinks at 0
             forced = not np.isfinite(current_score)
             if forced or scores[pos] < current_score:
-                current, current_score = current.without(pos), float(scores[pos])
+                current = _Subset(space, current.idx[:pos] + current.idx[pos + 1 :])
+                current_score = float(scores[pos])
                 changed = True
                 if current_score < best_score:
                     best_subset, best_score = current.idx, current_score
@@ -352,7 +313,8 @@ def elim_add(times, y, interval, candidate_count: int, order: int = 4, max_sweep
             scores = space.add_scores(current, pool)
             pos = int(np.argmin(scores))
             if scores[pos] < current_score:
-                current, current_score = current.with_knot(pool[pos]), float(scores[pos])
+                current = _Subset(space, sorted(current.idx + [pool[pos]]))
+                current_score = float(scores[pos])
                 changed = True
                 if current_score < best_score:
                     best_subset, best_score = current.idx, current_score

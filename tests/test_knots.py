@@ -18,7 +18,7 @@ from gradmatch.knots import (
     uniform_knots,
 )
 from gradmatch.montecarlo import ExperimentConfig, simulate_data
-from gradmatch.splines import BSplineBasis, KnotSequence, design_matrix
+from gradmatch.splines import BSplineBasis, KnotSequence, design_matrix, truncated_power_design
 
 CYCLE = dict(theta_star=(0.0, -1.5, 1.0, 2.0, 0.0, -1.5), fixed={"a1": 0.0, "b2": 0.0}, x0=(1.0, 2.0))
 DAMPED = dict(theta_star=(0.0, -1.5, 1.0, 1.5, -1.0, -1.5), fixed={"a1": 0.0, "b2": -1.0}, x0=(4.0, 2.0))
@@ -258,7 +258,7 @@ def nested_case(rng, n, order, dims, candidate_count):
     space = knots._NestedSpace(times, y, interval, grid, order)
     size = rng.integers(1, min(candidate_count, (n - 5) // 3))
     idx = sorted(int(j) for j in rng.choice(candidate_count, size, replace=False))
-    return times, y, interval, grid, space, knots._Subset(space, idx, space.refinement(idx))
+    return times, y, interval, grid, space, knots._Subset(space, idx)
 
 
 class TestNestedSpace:
@@ -271,20 +271,18 @@ class TestNestedSpace:
         full = design_matrix(BSplineBasis(KnotSequence(interval, tuple(grid), order)), times)
         part = design_matrix(BSplineBasis(KnotSequence(interval, tuple(grid[subset.idx]), order)), times)
         np.testing.assert_allclose(full @ subset.refine, part, rtol=0, atol=1e-13)
-        # dropping a knot updates T_S in place of a rebuild
-        for pos in range(len(subset.idx)):
-            smaller = subset.without(pos)
-            np.testing.assert_allclose(smaller.refine, space.refinement(smaller.idx), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(space.refinement(list(range(grid.size))), np.eye(grid.size + order), atol=1e-14)
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
-    def test_truncated_power_coefficients(self, order):
+    def test_collocation_gives_truncated_power_coefficients(self, order):
         interval = (0.0, 2.0)
         grid = uniform_knots(interval, 7)
-        basis = BSplineBasis(KnotSequence(interval, tuple(grid), order))
         ts = np.linspace(0.0, 2.0, 301)
-        coef = knots._truncated_power_coefficients(basis.augmented, order, grid, 2.0)
-        want = np.clip((ts[:, None] - grid[None, :]) / 2.0, 0.0, None) ** (order - 1)
-        np.testing.assert_allclose(design_matrix(basis, ts) @ coef, want, rtol=0, atol=1e-14)
+        space = knots._NestedSpace(ts, np.sin(ts)[:, None], interval, grid, order)
+        coef = space.collocate @ truncated_power_design(interval, grid, order, space.sites)[:, order:]
+        full = design_matrix(BSplineBasis(KnotSequence(interval, tuple(grid), order)), ts)
+        want = truncated_power_design(interval, grid, order, ts)[:, order:]
+        np.testing.assert_allclose(full @ coef, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("dims", [1, 2])
     @pytest.mark.parametrize("n", [20, 60, 500])
