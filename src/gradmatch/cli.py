@@ -32,9 +32,9 @@ from .errors import (
 from .estimator import (
     CriterionConfig,
     WeightFunction,
-    estimate_report,
     fit_linear_in_theta,
     fit_nonlinear,
+    write_report,
 )
 from .knots import KnotPolicy, select_knots
 from .models import MODEL_REGISTRY, get_model_spec, read_trajectory_csv, write_trajectory_csv, Trajectory
@@ -226,7 +226,6 @@ def cmd_fit(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IDENTIFIABILITY
 
-    report = estimate_report(estimate)
     named = ", ".join(
         f"{name}={value:.6g}" for name, value in zip(model.param_names, estimate.theta_hat)
     )
@@ -234,9 +233,7 @@ def cmd_fit(args) -> int:
     print(f"criterion: {estimate.criterion_value:.6g}")
     print(f"jstar condition: {estimate.jstar_condition:.6g}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        write_report(estimate, args.out)
         print(f"report written to {args.out}")
     return EXIT_OK
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IdentifiabilityError, IdentifiabilityWarning
+from .errors import GradMatchError, IdentifiabilityError, IdentifiabilityWarning
 from .models import PartiallyLinearSystem, Trajectory, VectorFieldModel, duhamel_solve
 from .splines import SV_CUTOFF, SplineFit, eval_fit, eval_fit_derivative
 
@@ -118,10 +118,36 @@ def _path_values(path, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _field_residuals(fit: SplineFit, model: VectorFieldModel, theta, nodes) -> np.ndarray:
-    x = eval_fit(fit, nodes)
-    xdot = eval_fit_derivative(fit, nodes)
-    return xdot - np.asarray(model.field(nodes, x, np.asarray(theta, dtype=float)), dtype=float)
+class _PathSample(NamedTuple):
+    """A fit on its quadrature grid: nodes, trapezoid weights, w, x-hat, x-hat'."""
+
+    nodes: np.ndarray
+    delta: np.ndarray
+    w: np.ndarray
+    x: np.ndarray
+    xdot: np.ndarray
+
+
+def _sample_path(fit: SplineFit, config: CriterionConfig) -> _PathSample:
+    """The estimator's one evaluation of the spline path on the quadrature grid."""
+    nodes, delta = quadrature_grid(fit, config)
+    x, xdot = eval_fit(fit, nodes), eval_fit_derivative(fit, nodes)
+    return _PathSample(nodes, delta, config.weight(nodes), x, xdot)
+
+
+def _residuals(sample: _PathSample, model: VectorFieldModel, theta):
+    """x-hat' - F(t, x-hat, theta) on the grid, (m, d); None where not finite."""
+    field = np.asarray(model.field(sample.nodes, sample.x, np.asarray(theta, dtype=float)), dtype=float)
+    resid = sample.xdot - field
+    return resid if np.all(np.isfinite(resid)) else None
+
+
+def _criterion_value(sample: _PathSample, model: VectorFieldModel, theta, q: float) -> float:
+    resid = _residuals(sample, model, theta)
+    if resid is None:
+        return np.inf
+    enorm = np.linalg.norm(resid, axis=1)
+    return float(np.sum(sample.delta * sample.w * enorm**q) ** (1.0 / q))
 
 
 def criterion(fit: SplineFit, model: VectorFieldModel, theta, config: CriterionConfig) -> float:
@@ -130,13 +156,7 @@ def criterion(fit: SplineFit, model: VectorFieldModel, theta, config: CriterionC
     Non-finite field values on the grid give an infinite criterion rather than
     an exception, so a search can treat them as a rejected trial.
     """
-    nodes, delta = quadrature_grid(fit, config)
-    resid = _field_residuals(fit, model, theta, nodes)
-    if not np.all(np.isfinite(resid)):
-        return np.inf
-    enorm = np.linalg.norm(resid, axis=1)
-    w = config.weight(nodes)
-    return float(np.sum(delta * w * enorm**config.q) ** (1.0 / config.q))
+    return _criterion_value(_sample_path(fit, config), model, theta, config.q)
 
 
 def criterion_components(fit: SplineFit, model: VectorFieldModel, theta, config: CriterionConfig) -> np.ndarray:
@@ -144,12 +164,12 @@ def criterion_components(fit: SplineFit, model: VectorFieldModel, theta, config:
 
     The q-th powers of the components sum to the q-th power of criterion().
     """
-    nodes, delta = quadrature_grid(fit, config)
-    resid = _field_residuals(fit, model, theta, nodes)
-    if not np.all(np.isfinite(resid)):
-        return np.full(resid.shape[1], np.inf)
-    w = config.weight(nodes)
-    return np.sum(delta[:, None] * w[:, None] * np.abs(resid) ** config.q, axis=0) ** (1.0 / config.q)
+    sample = _sample_path(fit, config)
+    resid = _residuals(sample, model, theta)
+    if resid is None:
+        return np.full(sample.x.shape[1], np.inf)
+    q = config.q
+    return np.sum(sample.delta[:, None] * sample.w[:, None] * np.abs(resid) ** q, axis=0) ** (1.0 / q)
 
 
 @dataclass(frozen=True)
@@ -171,16 +191,6 @@ class TwoStepEstimate:
     iterations: int
 
 
-def _weighted_stack(fit, model, config):
-    """Shared setup: nodes, sqrt(w*delta) scale, path values and derivative."""
-    nodes, delta = quadrature_grid(fit, config)
-    w = config.weight(nodes)
-    scale = np.sqrt(w * delta)
-    x = eval_fit(fit, nodes)
-    xdot = eval_fit_derivative(fit, nodes)
-    return nodes, scale, x, xdot
-
-
 def _name_directions(model: VectorFieldModel, null_vectors: np.ndarray) -> str:
     names = [model.param_names[i] for i in model.free_indices]
     parts = []
@@ -194,18 +204,14 @@ def _name_directions(model: VectorFieldModel, null_vectors: np.ndarray) -> str:
     return "; ".join(parts)
 
 
-def _solve_linear(fit: SplineFit, model: VectorFieldModel, config: CriterionConfig) -> np.ndarray:
+def _solve_linear(sample: _PathSample, model: VectorFieldModel) -> np.ndarray:
     """Closed-form minimizer of the discretized q = 2 criterion, free entries."""
-    if model.linear_basis is None:
-        raise ValueError("model has no linear-in-parameters decomposition")
-    if config.q != 2:
-        raise ValueError("closed form requires q = 2")
-    nodes, scale, x, xdot = _weighted_stack(fit, model, config)
-    basis = np.asarray(model.linear_basis(nodes, x), dtype=float)  # (m, d, p_free)
-    offset = np.asarray(model.linear_offset(nodes, x), dtype=float)  # (m, d)
+    scale = np.sqrt(sample.w * sample.delta)
+    basis = np.asarray(model.linear_basis(sample.nodes, sample.x), dtype=float)  # (m, d, p_free)
+    offset = np.asarray(model.linear_offset(sample.nodes, sample.x), dtype=float)  # (m, d)
     m, d, p_free = basis.shape
     lhs = (scale[:, None, None] * basis).reshape(m * d, p_free)
-    rhs = (scale[:, None] * (xdot - offset)).reshape(m * d)
+    rhs = (scale[:, None] * (sample.xdot - offset)).reshape(m * d)
     u, sv, vt = np.linalg.svd(lhs, full_matrices=False)
     keep = sv > SV_CUTOFF * (sv[0] if sv.size else 0.0)
     rank = int(np.sum(keep))
@@ -224,12 +230,78 @@ def _assemble_theta(model: VectorFieldModel, theta_free: np.ndarray) -> np.ndarr
     return theta
 
 
-def _diagnostics(fit, model, theta, config):
-    nodes, _ = quadrature_grid(fit, config)
-    jstar, cond = criterion_hessian(fit, model, theta, config.weight, nodes)
-    gs = smooth_functional(fit, model, theta, config.weight, nodes)
-    gb = boundary_functional(fit, model, theta, config.weight)
-    return jstar, cond, gs, gb
+def _estimate(fit, sample, model, theta, config, converged, iterations) -> TwoStepEstimate:
+    """Criterion value and diagnostics at theta, from the one sample of the fit."""
+    if not np.all(np.isfinite(sample.x)):
+        raise np.linalg.LinAlgError("fitted path is not finite on the quadrature grid")
+    path = Trajectory(sample.nodes, sample.x)
+    jstar, cond = criterion_hessian(path, model, theta, config.weight, sample.nodes)
+    gamma_s = smooth_functional(path, model, theta, config.weight, sample.nodes)
+    gamma_b = boundary_functional(fit, model, theta, config.weight)
+    return TwoStepEstimate(
+        theta_hat=theta,
+        criterion_value=_criterion_value(sample, model, theta, config.q),
+        jstar=jstar,
+        jstar_condition=cond,
+        gamma_s=gamma_s,
+        gamma_b=gamma_b,
+        converged=converged,
+        iterations=iterations,
+    )
+
+
+def _damped_gauss_newton(residual, jacobian, z0, max_iter: int):
+    """Minimize |residual(z)|^2 by Gauss-Newton with Levenberg damping.
+
+    residual(z) returns the residual vector, or None where it cannot be
+    evaluated; such a trial step is rejected.  jacobian(z, r) is the
+    derivative of the residual at z, with r = residual(z).  The damping starts
+    at 1e-3, shrinks x0.1 (floor 1e-12) on an accepted step and grows x10 on a
+    rejected one.  An accepted step with norm < 1e-10 or relative decrease
+    < 1e-12 ends the loop as converged; damping past 1e12 ends it too, the
+    current point being a numerical minimum.  Returns (z, |r|^2, converged,
+    iterations), or None when z0 itself is not evaluable.
+    """
+    z = z0
+    r = residual(z)
+    if r is None:
+        return None
+    sq = float(r @ r)
+    lam = 1e-3
+    iterations = 0
+    converged = False
+    while iterations < max_iter and z.size:
+        iterations += 1
+        jac = jacobian(z, r)
+        normal = jac.T @ jac
+        grad = jac.T @ (-r)
+        diag = np.diag(normal).copy()
+        diag[diag <= 0] = max(diag.max(), 1.0) * 1e-14
+        accepted = False
+        while lam <= 1e12:
+            try:
+                step = np.linalg.solve(normal + lam * np.diag(diag), grad)
+            except np.linalg.LinAlgError:
+                lam *= 10
+                continue
+            z_new = z + step
+            r_new = residual(z_new)
+            sq_new = np.inf if r_new is None else float(r_new @ r_new)
+            if sq_new < sq:
+                rel_decrease = (sq - sq_new) / max(sq, 1e-300)
+                z, r, sq = z_new, r_new, sq_new
+                lam = max(lam * 0.1, 1e-12)
+                accepted = True
+                if np.linalg.norm(step) < 1e-10 or rel_decrease < 1e-12:
+                    converged = True
+                break
+            lam *= 10
+        if not accepted:
+            converged = sq < np.inf
+            break
+        if converged:
+            break
+    return z, sq, converged, iterations
 
 
 def fit_linear_in_theta(fit: SplineFit, model: VectorFieldModel, config: CriterionConfig) -> TwoStepEstimate:
@@ -240,19 +312,13 @@ def fit_linear_in_theta(fit: SplineFit, model: VectorFieldModel, config: Criteri
     stacked system, which also supplies the rank check.  A rank-deficient
     stack raises IdentifiabilityError naming the unidentified directions.
     """
-    theta_free = _solve_linear(fit, model, config)
-    theta = _assemble_theta(model, theta_free)
-    jstar, cond, gs, gb = _diagnostics(fit, model, theta, config)
-    return TwoStepEstimate(
-        theta_hat=theta,
-        criterion_value=criterion(fit, model, theta, config),
-        jstar=jstar,
-        jstar_condition=cond,
-        gamma_s=gs,
-        gamma_b=gb,
-        converged=True,
-        iterations=0,
-    )
+    if model.linear_basis is None:
+        raise ValueError("model has no linear-in-parameters decomposition")
+    if config.q != 2:
+        raise ValueError("closed form requires q = 2")
+    sample = _sample_path(fit, config)
+    theta = _assemble_theta(model, _solve_linear(sample, model))
+    return _estimate(fit, sample, model, theta, config, converged=True, iterations=0)
 
 
 def fit_nonlinear(
@@ -275,82 +341,33 @@ def fit_nonlinear(
         raise ValueError("config is required")
     if config.q != 2:
         raise ValueError("Gauss-Newton fitting requires q = 2")
+    if theta_init is None and model.linear_basis is None:
+        raise ValueError("theta_init is required for models without a linear decomposition")
+    sample = _sample_path(fit, config)
     if theta_init is None:
-        if model.linear_basis is None:
-            raise ValueError("theta_init is required for models without a linear decomposition")
-        theta_init = _assemble_theta(model, _solve_linear(fit, model, config))
+        theta_init = _assemble_theta(model, _solve_linear(sample, model))
 
-    nodes, scale, x, xdot = _weighted_stack(fit, model, config)
+    scale = np.sqrt(sample.w * sample.delta)
     free = model.free_indices
 
-    def objective(theta):
-        resid = xdot - np.asarray(model.field(nodes, x, theta), dtype=float)
-        if not np.all(np.isfinite(resid)):
-            return None, np.inf
-        r = (scale[:, None] * resid).reshape(-1)
-        return r, float(r @ r)
+    def residual(z):
+        resid = _residuals(sample, model, _assemble_theta(model, z))
+        return None if resid is None else (scale[:, None] * resid).reshape(-1)
+
+    def jacobian(z, r):
+        # the residual is x-hat' - F, so its derivative is -D2F on the free entries
+        jac = np.asarray(model.jacobian_param(sample.nodes, sample.x, _assemble_theta(model, z)), dtype=float)
+        return -(scale[:, None, None] * jac[:, :, free]).reshape(r.size, free.size)
 
     def run(theta0):
-        theta = np.asarray(theta0, dtype=float).copy()
-        theta[model.fixed_mask] = model.fixed_values[model.fixed_mask]
-        r, sq = objective(theta)
-        if r is None:
-            return theta, np.inf, False, 0
-        lam = 1e-3
-        iterations = 0
-        converged = False
-        while iterations < max_iter:
-            iterations += 1
-            jac = np.asarray(model.jacobian_param(nodes, x, theta), dtype=float)[:, :, free]
-            jac = (scale[:, None, None] * jac).reshape(r.size, free.size)
-            # jac is d(field)/d(theta); the residual derivative is its negative,
-            # so the Gauss-Newton system reads (J'J + damping) step = J' r
-            grad = jac.T @ r
-            normal = jac.T @ jac
-            diag = np.diag(normal).copy()
-            diag[diag <= 0] = max(diag.max(), 1.0) * 1e-14
-            accepted = False
-            while lam <= 1e12:
-                try:
-                    step = np.linalg.solve(normal + lam * np.diag(diag), grad)
-                except np.linalg.LinAlgError:
-                    lam *= 10
-                    continue
-                trial = theta.copy()
-                trial[free] += step
-                r_new, sq_new = objective(trial)
-                if r_new is not None and sq_new < sq:
-                    rel_decrease = (sq - sq_new) / max(sq, 1e-300)
-                    theta, r, sq = trial, r_new, sq_new
-                    lam = max(lam * 0.1, 1e-12)
-                    accepted = True
-                    if np.linalg.norm(step) < 1e-10 or rel_decrease < 1e-12:
-                        converged = True
-                    break
-                lam *= 10
-            if not accepted:
-                # damping exhausted: the current point is a numerical minimum
-                converged = sq < np.inf
-                break
-            if converged:
-                break
-        return theta, sq, converged, iterations
+        z0 = np.asarray(theta0, dtype=float)[free]
+        # an unevaluable start loses to every evaluable one
+        return _damped_gauss_newton(residual, jacobian, z0, max_iter) or (z0, np.inf, False, 0)
 
     candidates = [theta_init] + (list(starts) if starts is not None else [])
-    results = [run(t0) for t0 in candidates]
-    theta, _, converged, iterations = min(results, key=lambda item: item[1])
-
-    jstar, cond, gs, gb = _diagnostics(fit, model, theta, config)
-    return TwoStepEstimate(
-        theta_hat=theta,
-        criterion_value=criterion(fit, model, theta, config),
-        jstar=jstar,
-        jstar_condition=cond,
-        gamma_s=gs,
-        gamma_b=gb,
-        converged=converged,
-        iterations=iterations,
-    )
+    z, _, converged, iterations = min((run(t0) for t0 in candidates), key=lambda item: item[1])
+    theta = _assemble_theta(model, z)
+    return _estimate(fit, sample, model, theta, config, converged, iterations)
 
 
 def criterion_hessian(path, model: VectorFieldModel, theta, weight: WeightFunction, nodes) -> tuple[np.ndarray, float]:
@@ -409,7 +426,7 @@ def smooth_functional(path, model: VectorFieldModel, theta, weight: WeightFuncti
     dprod[0] = (prod[1] - prod[0]) / (ts[1] - ts[0])
     dprod[-1] = (prod[-1] - prod[-2]) / (ts[-1] - ts[-2])
     kernel = -w[:, None, None] * np.einsum("jpd,jde->jpe", d2f_t, d1f) - dprod
-    target = _path_values(path if apply_to is None else apply_to, ts)
+    target = x if apply_to is None else _path_values(apply_to, ts)
     delta = _trapezoid_weights(ts)
     return np.einsum("j,jpd,jd->p", delta, kernel, target)
 
@@ -424,7 +441,7 @@ def boundary_functional(path, model: VectorFieldModel, theta, weight: WeightFunc
     lo, hi = weight.breakpoints[0], weight.breakpoints[-1]
     ends = np.array([lo, hi])
     x = _path_values(path, ends)
-    target = _path_values(path if apply_to is None else apply_to, ends)
+    target = x if apply_to is None else _path_values(apply_to, ends)
     theta = np.asarray(theta, dtype=float)
     jac = np.asarray(model.jacobian_param(ends, x, theta), dtype=float)[:, :, model.free_indices]
     w_ends = weight(ends)
@@ -499,10 +516,8 @@ def fit_partially_observed(
     """
     if config.q != 2:
         raise ValueError("Gauss-Newton fitting requires q = 2")
-    nodes, delta = quadrature_grid(u_fit, config)
-    scale = np.sqrt(config.weight(nodes) * delta)
-    u = eval_fit(u_fit, nodes)
-    udot = eval_fit_derivative(u_fit, nodes)
+    nodes, delta, w, u, udot = _sample_path(u_fit, config)
+    scale = np.sqrt(w * delta)
     d2 = system.d_hidden
 
     eta0 = np.atleast_1d(np.asarray(eta0, dtype=float))
@@ -543,22 +558,15 @@ def fit_partially_observed(
         return (scale[:, None] * (udot - g)).reshape(-1)
 
     def safe_residual(z):
+        # a hidden-state blow-up or a breakdown of the matrix exponential
+        # rejects the trial; any other error is the caller's and propagates
         try:
             r = residual(z)
-        except Exception:
+        except (GradMatchError, FloatingPointError, np.linalg.LinAlgError):
             return None
         return r if np.all(np.isfinite(r)) else None
 
-    z = z0.copy()
-    r = safe_residual(z)
-    if r is None:
-        raise ValueError("initial point is not evaluable (hidden state blow-up?)")
-    sq = float(r @ r)
-    lam = 1e-3
-    iterations = 0
-    converged = False
-    while iterations < max_iter and z.size:
-        iterations += 1
+    def jacobian(z, r):
         jac = np.empty((r.size, z.size))
         for i in range(z.size):
             h = 1e-6 * max(1.0, abs(z[i]))
@@ -573,35 +581,12 @@ def fit_partially_observed(
                 jac[:, i] = (r - rp) / h
             else:
                 jac[:, i] = (rp - r) / h
-        normal = jac.T @ jac
-        grad = jac.T @ (-r)
-        diag = np.diag(normal).copy()
-        diag[diag <= 0] = max(diag.max(), 1.0) * 1e-14
-        accepted = False
-        while lam <= 1e12:
-            try:
-                step = np.linalg.solve(normal + lam * np.diag(diag), grad)
-            except np.linalg.LinAlgError:
-                lam *= 10
-                continue
-            z_new = z + step
-            r_new = safe_residual(z_new)
-            if r_new is not None and float(r_new @ r_new) < sq:
-                sq_new = float(r_new @ r_new)
-                rel = (sq - sq_new) / max(sq, 1e-300)
-                z, r, sq = z_new, r_new, sq_new
-                lam = max(lam * 0.1, 1e-12)
-                accepted = True
-                if np.linalg.norm(step) < 1e-10 or rel < 1e-12:
-                    converged = True
-                break
-            lam *= 10
-        if not accepted:
-            converged = True
-            break
-        if converged:
-            break
+        return jac
 
+    result = _damped_gauss_newton(safe_residual, jacobian, z0, max_iter)
+    if result is None:
+        raise ValueError("initial point is not evaluable (hidden state blow-up?)")
+    z, sq, converged, iterations = result
     eta, a, v0 = unpack(z)
     return PartialObservationEstimate(
         eta=eta.copy(),

@@ -193,9 +193,9 @@ class ReplicationResult:
 def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResult:
     """Simulate, select knots, fit the shared spline, estimate per weight.
 
-    Failures (identifiability, degrees of freedom, non-convergence, linear
-    algebra breakdown) are recorded, not raised; the experiment level decides
-    whether too many accumulated.
+    Failures (identifiability, degrees of freedom, a rank-deficient spline,
+    non-convergence, linear algebra breakdown) are recorded, not raised;
+    the experiment level decides whether too many accumulated.
     """
     times, ys = simulate_data(config, rep_index)
     model = config.build_model()
@@ -205,6 +205,8 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
             KnotSequence(config.interval, selection.selected_knots, config.knot_policy.order)
         )
         fit = fit_least_squares(basis, times, ys)
+        if fit.rank_deficient:
+            return ReplicationResult(rep_index, False, failure="rank-deficient first-step spline")
 
         fine_ts, fine_truth = _truth_fine(config)
         diff = eval_fit(fit, fine_ts) - fine_truth

@@ -1,6 +1,7 @@
 """Tests for the two-step criterion, its minimizers, and the diagnostics."""
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -32,6 +33,8 @@ from gradmatch import (
     smooth_functional,
     write_report,
 )
+from gradmatch import estimator
+from gradmatch.errors import BlowupError
 
 THETA_CASE1 = np.array([0.0, -1.5, 1.0, 2.0, 0.0, -1.5])
 CASE1_MASK = np.array([True, False, False, False, True, False])
@@ -141,6 +144,19 @@ def case1_truth_fit(n_knots=60, n_obs=1200, t_end=20.0, order=4):
     interior = np.linspace(0.0, t_end, n_knots + 2)[1:-1]
     knots = KnotSequence(interval=(0.0, t_end), interior_knots=tuple(interior), order=order)
     return fit_least_squares(BSplineBasis(knots), ts, truth.states), truth
+
+
+@functools.lru_cache(maxsize=None)
+def noisy_case1_fit(seed=23, n_obs=500, n_knots=20):
+    """Least-squares spline on n_knots uniform knots of noisy case-1 data (shared, do not mutate)."""
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 20.0, n_obs)
+    truth = integrate(case1_model(), THETA_CASE1, np.array([1.0, 2.0]), ts, tol=1e-10)
+    y = truth.states + 0.2 * rng.standard_normal(truth.states.shape)
+    knots = KnotSequence(
+        interval=(0.0, 20.0), interior_knots=tuple(np.linspace(0.0, 20.0, n_knots + 2)[1:-1]), order=4
+    )
+    return fit_least_squares(BSplineBasis(knots), ts, y)
 
 
 def line_fit(slope, intercept, interval=(0.0, 4.0), n_obs=40):
@@ -366,14 +382,7 @@ class TestFitLinear:
 
 class TestFitNonlinear:
     def test_agrees_with_closed_form(self):
-        rng = np.random.default_rng(23)
-        ts = np.linspace(0.0, 20.0, 500)
-        truth = integrate(case1_model(), THETA_CASE1, np.array([1.0, 2.0]), ts, tol=1e-10)
-        y = truth.states + 0.2 * rng.standard_normal(truth.states.shape)
-        knots = KnotSequence(
-            interval=(0.0, 20.0), interior_knots=tuple(np.linspace(0.0, 20.0, 22)[1:-1]), order=4
-        )
-        fit = fit_least_squares(BSplineBasis(knots), ts, y)
+        fit = noisy_case1_fit()
         model = case1_model()
         config = CriterionConfig(weight=WeightFunction.boundary_vanishing((0.0, 20.0)))
         closed = fit_linear_in_theta(fit, model, config)
@@ -436,6 +445,76 @@ class TestFitNonlinear:
         config = CriterionConfig(weight=WeightFunction.uniform((0.0, 20.0)), q=1.5)
         with pytest.raises(ValueError):
             fit_nonlinear(fit, model, theta_init=THETA_CASE1, config=config)
+
+
+ESTIMATORS = {
+    "closed-form": fit_linear_in_theta,
+    "gauss-newton": lambda fit, model, config: fit_nonlinear(fit, model, THETA_CASE1 + 0.1, config),
+}
+
+
+class TestEstimateFromOneSample:
+    """An estimate's fields against the public functions evaluated on the SplineFit."""
+
+    @pytest.mark.parametrize("weight", ["boundary", "uniform"])
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_fields_match_public_functions_on_the_fit(self, name, weight):
+        fit = noisy_case1_fit()
+        model = case1_model()
+        interval = (0.0, 20.0)
+        w = WeightFunction.boundary_vanishing(interval) if weight == "boundary" else WeightFunction.uniform(interval)
+        config = CriterionConfig(weight=w)
+        est = ESTIMATORS[name](fit, model, config)
+        theta = est.theta_hat
+        nodes, _ = quadrature_grid(fit, config)
+        jstar, cond = criterion_hessian(fit, model, theta, w, nodes)
+        assert est.criterion_value == pytest.approx(criterion(fit, model, theta, config), rel=1e-12, abs=0)
+        np.testing.assert_allclose(est.jstar, jstar, rtol=1e-12, atol=0)
+        assert est.jstar_condition == pytest.approx(cond, rel=1e-12, abs=0)
+        np.testing.assert_allclose(est.gamma_s, smooth_functional(fit, model, theta, w, nodes), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(est.gamma_b, boundary_functional(fit, model, theta, w), rtol=1e-12, atol=0)
+        if weight == "uniform":
+            assert np.all(est.gamma_b != 0.0)
+
+    def test_each_estimate_samples_the_path_once(self, monkeypatch):
+        fit = noisy_case1_fit()
+        model = case1_model()
+        config = CriterionConfig(weight=WeightFunction.uniform((0.0, 20.0)))
+        calls = {}
+
+        def counted(name):
+            original = getattr(estimator, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(estimator, name, wrapper)
+
+        for name in ("quadrature_grid", "eval_fit", "eval_fit_derivative"):
+            counted(name)
+        runs = {
+            "closed form": lambda: fit_linear_in_theta(fit, model, config),
+            "Gauss-Newton from the closed form": lambda: fit_nonlinear(fit, model, config=config),
+            "Gauss-Newton, two starts": lambda: fit_nonlinear(
+                fit, model, THETA_CASE1, config, starts=[THETA_CASE1 + 0.5]
+            ),
+        }
+        for label, run in runs.items():
+            calls.clear()
+            run()
+            # one sample of the grid, plus eval_fit at the two endpoints for gamma_b
+            assert calls == {"quadrature_grid": 1, "eval_fit": 2, "eval_fit_derivative": 1}, label
+
+    def test_nonfinite_path_raises_linear_algebra_error(self):
+        fit = noisy_case1_fit()
+        coefficients = np.array(fit.coefficients, dtype=float)
+        coefficients[0, 5] = np.nan
+        broken = dataclasses.replace(fit, coefficients=coefficients)
+        config = CriterionConfig(weight=WeightFunction.uniform((0.0, 20.0)))
+        for run in ESTIMATORS.values():
+            with pytest.raises(np.linalg.LinAlgError):
+                run(broken, case1_model(), config)
 
 
 class TestCriterionHessian:
@@ -593,6 +672,19 @@ class TestLinearizationResidual:
             )
 
 
+def oscillator_fit():
+    """Spline fit of u for the oscillator below (eta = 1.69, v0 = 0.5), and a boundary config."""
+    ts = np.arange(200) * (10.0 / 200)
+    omega = np.sqrt(1.69)
+    u_true = np.cos(omega * ts) + (0.5 / omega) * np.sin(omega * ts)
+    y = (u_true + 0.01 * np.random.default_rng(43).standard_normal(ts.size))[:, None]
+    knots = KnotSequence(
+        interval=(0.0, ts[-1]), interior_knots=tuple(np.linspace(0.0, ts[-1], 14)[1:-1]), order=4
+    )
+    config = CriterionConfig(weight=WeightFunction.boundary_vanishing((0.0, ts[-1])))
+    return fit_least_squares(BSplineBasis(knots), ts, y), config
+
+
 def oscillator_system():
     """u' = v, v' = -eta * u with only u observed; hidden block is scalar."""
 
@@ -643,21 +735,8 @@ class TestFitPartiallyObserved:
         assert est.criterion_value == pytest.approx(reference.criterion_value, rel=1e-6)
 
     def test_recovers_oscillator_frequency_and_hidden_start(self):
-        omega_sq = 1.69
-        u0, v0 = 1.0, 0.5
-        n = 200
-        ts = np.arange(n) * (10.0 / n)
-        omega = np.sqrt(omega_sq)
-        u_true = u0 * np.cos(omega * ts) + (v0 / omega) * np.sin(omega * ts)
-        rng = np.random.default_rng(43)
-        y = (u_true + 0.01 * rng.standard_normal(n))[:, None]
-        knots = KnotSequence(
-            interval=(0.0, ts[-1]),
-            interior_knots=tuple(np.linspace(0.0, ts[-1], 14)[1:-1]),
-            order=4,
-        )
-        fit = fit_least_squares(BSplineBasis(knots), ts, y)
-        config = CriterionConfig(weight=WeightFunction.boundary_vanishing((0.0, ts[-1])))
+        omega_sq, v0 = 1.69, 0.5
+        fit, config = oscillator_fit()
         est = fit_partially_observed(
             fit,
             oscillator_system(),
@@ -671,6 +750,42 @@ class TestFitPartiallyObserved:
         assert abs(est.eta[0] - omega_sq) / omega_sq < 0.05
         assert abs(est.v0[0] - v0) / abs(v0) < 0.05
         assert est.converged
+
+    def test_error_in_user_field_propagates(self):
+        fit, config = oscillator_fit()
+
+        def g(u, v, eta):
+            raise IndexError("bug in the observed field")
+
+        system = dataclasses.replace(oscillator_system(), g=g)
+        with pytest.raises(IndexError, match="bug in the observed field"):
+            fit_partially_observed(
+                fit, system, eta0=np.array([1.0]), a0=np.zeros((1, 1)), v0_guess=np.array([0.5]),
+                config=config, estimate_a=False,
+            )
+
+    def test_blowup_in_a_trial_step_is_rejected(self):
+        fit, config = oscillator_fit()
+        config = dataclasses.replace(config, quad_nodes=128)
+        base = oscillator_system()
+        calls = []
+
+        def g(u, v, eta):
+            calls.append(eta.copy())
+            # call 1 is the start and call 2 the one Jacobian column: call 3 is the first trial step
+            if len(calls) == 3:
+                raise BlowupError("hidden state exceeded norm bound", escape_time=1.0)
+            return base.g(u, v, eta)
+
+        kwargs = dict(
+            eta0=np.array([1.0]), a0=np.zeros((1, 1)), v0_guess=np.array([0.5]), config=config,
+            estimate_a=False, estimate_v0=False,
+        )
+        est = fit_partially_observed(fit, dataclasses.replace(base, g=g), **kwargs)
+        reference = fit_partially_observed(fit, base, **kwargs)
+        assert len(calls) > 3
+        assert est.converged
+        np.testing.assert_allclose(est.eta, reference.eta, rtol=1e-6)
 
     def test_linear_inner_problem_matches_weighted_least_squares(self):
         # u' = eta1 * u + eta2 * cos(t) + v with v' = -v/2 + u known exactly:

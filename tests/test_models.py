@@ -1,5 +1,7 @@
 """Tests for vector-field models, RK4 integration, expm, and the Duhamel solver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -100,7 +102,7 @@ class TestGLVField:
             get_model_spec("unknown-model")
         with pytest.raises(KeyError):
             spec.build({"nope": 1.0})
-        assert set(MODEL_REGISTRY) == {"glv", "classic-lv", "custom-linear-partial"}
+        assert set(MODEL_REGISTRY) == {"glv", "custom-linear-partial"}
 
 
 class TestDampedLinearField:
@@ -170,6 +172,16 @@ class TestIntegrate:
             integrate(model, theta, np.array([1.0, 1.0]), np.linspace(0.0, 2.0, 21))
         assert err.value.escape_time is not None
         assert 0.9 < err.value.escape_time < 1.1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_is_a_blowup_without_a_norm_bound(self, bad):
+        class _Breaks:
+            def field(self, t, x, theta):
+                return np.array([bad if t > 0.5 else 1.0])
+
+        with pytest.raises(BlowupError) as err:
+            integrate(_Breaks(), np.zeros(0), [0.0], np.linspace(0.0, 1.0, 11), blowup_norm=np.inf)
+        assert 0.5 < err.value.escape_time <= 0.6
 
     def test_needs_two_grid_points(self):
         model = glv_field()
@@ -260,6 +272,29 @@ class TestDuhamel:
         a = np.array([[50.0]])
         with pytest.raises(BlowupError):
             duhamel_solve(a, lambda t: np.atleast_1d(0.0), [1.0], np.linspace(0.0, 10.0, 11))
+
+    def test_non_finite_state_is_a_blowup_without_a_norm_bound(self):
+        forcing = lambda t: np.array([np.inf if t > 0.5 else 0.0])
+        with pytest.raises(BlowupError) as err:
+            duhamel_solve(np.array([[-0.5]]), forcing, [1.0], np.linspace(0.0, 1.0, 11), blowup_norm=np.inf)
+        assert 0.5 < err.value.escape_time <= 0.6
+
+    def test_scalar_only_forcing_falls_back_to_pointwise_calls(self):
+        # math.cos rejects an array with TypeError, so the batched probe gives way
+        a = np.array([[-0.5]])
+        ts = np.linspace(0.0, 4.0, 21)
+        pointwise = duhamel_solve(a, lambda t: np.array([math.cos(t)]), [1.0], ts)
+        batched = duhamel_solve(a, lambda t: np.cos(t)[..., None], [1.0], ts)
+        np.testing.assert_allclose(pointwise, batched, rtol=1e-14, atol=1e-15)
+
+    def test_forcing_error_on_a_batch_propagates(self):
+        def forcing(t):
+            if np.ndim(t):
+                raise RuntimeError("bug in the batched forcing")
+            return np.array([1.0])
+
+        with pytest.raises(RuntimeError, match="bug in the batched forcing"):
+            duhamel_solve(np.array([[-0.5]]), forcing, [1.0], np.linspace(0.0, 1.0, 5))
 
 
 class TestTrajectoryIO:

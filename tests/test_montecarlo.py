@@ -174,6 +174,14 @@ class TestRunReplication:
         for name in config.weights:
             assert np.max(np.abs(result.estimates[name].theta_hat - star)) < 1e-2
 
+    def test_rank_deficient_spline_is_a_failure(self):
+        # 30 uniform candidates give 34 cubic coefficients for 20 observations
+        policy = KnotPolicy(candidate_count=30, selection="fixed-uniform")
+        result = run_replication(case1_config(n=20, knot_policy=policy), 0)
+        assert not result.ok
+        assert result.failure == "rank-deficient first-step spline"
+        assert result.estimates is None
+
     def test_boundary_weight_estimate_has_zero_boundary_term(self):
         config = case1_config(n=80)
         result = run_replication(config, 1)
