@@ -9,6 +9,7 @@ the estimation code relies on it.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -284,52 +285,166 @@ def _escaped(state, blowup_norm) -> bool:
     return not size <= blowup_norm or size == np.inf
 
 
-def _rk4_pass(fun, x0, t_grid, substeps, blowup_norm):
-    d = len(x0)
-    out = np.empty((len(t_grid), d))
-    out[0] = x0
+# Dormand-Prince 5(4) tableau (Dormand & Prince 1980): nodes, stage weights,
+# 5th-order weights, error weights (5th minus 4th order, incl. the FSAL stage)
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = (
+    None,
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+)
+_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+# Shampine's (1986) quartic dense output: x(t0 + s h) = x0 + h sum_j s^(j+1) (P_j . K)
+_DP_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+]).T
+_STEP_TARGET = 0.01  # per-step error target, as a fraction of tol
+
+
+@dataclass(frozen=True)
+class DenseSolution:
+    """The accepted steps of a dense-output solve, evaluable at any covered time.
+
+    Step k starts at ``starts[k]`` in state ``states[k]``, has size
+    ``sizes[k]`` and quartic coefficients ``coefficients[k]`` (4, d); it
+    serves the times in (starts[k], starts[k] + sizes[k]].
+    """
+
+    starts: np.ndarray
+    sizes: np.ndarray
+    states: np.ndarray
+    coefficients: np.ndarray
+    t_end: float
+
+    def __call__(self, times) -> np.ndarray:
+        """States at the given times, shape (len(times), d).
+
+        Each time is evaluated on its own by elementwise arithmetic, so a
+        time gets the same bits whichever other times come with it.
+        """
+        ts = np.asarray(times, dtype=float)
+        if ts.ndim != 1 or ts.size == 0:
+            raise EmptyInputError("evaluation times must be a non-empty 1-D array")
+        if ts.min() < self.starts[0] or ts.max() > self.t_end:
+            raise ValueError(f"times must lie in the solved span [{self.starts[0]:g}, {self.t_end:g}]")
+        k = np.maximum(np.searchsorted(self.starts, ts, side="left") - 1, 0)
+        h = self.sizes[k][:, None]
+        s = (ts - self.starts[k])[:, None] / h
+        q = self.coefficients[k]
+        return self.states[k] + h * s * (q[:, 0] + s * (q[:, 1] + s * (q[:, 2] + s * q[:, 3])))
+
+
+def _initial_step(fun, t0, x0, f0, scale) -> float:
+    """First step size from x0 and f(x0) (Hairer, Norsett & Wanner, Sec. II.4)."""
+    d0 = np.max(np.abs(x0) / scale, initial=0.0)
+    d1 = np.max(np.abs(f0) / scale, initial=0.0)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    f1 = fun(t0 + h0, x0 + h0 * f0)
+    d2 = np.max(np.abs(f1 - f0) / scale, initial=0.0) / h0
+    h1 = max(1e-6, 1e-3 * h0) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h = min(100 * h0, h1)
+    # an infinite probe gives h = 0; h0 then stands, and rejections shorten it
+    return h if h > 0 else h0
+
+
+def dense_solve(model, theta, x0, t0: float, t_end: float, tol: float = 1e-8,
+                blowup_norm: float = DEFAULT_BLOWUP_NORM) -> DenseSolution:
+    """Solve x' = f(t, x, theta) from (t0, x0) past t_end by Dormand-Prince 5(4).
+
+    Each step's local error estimate is held below 0.01 * tol * (1 + |x|),
+    componentwise, with x the larger of the step's end states.  The step
+    sequence depends only on the model, theta, x0, t0 and tol: the first step
+    comes from x0 and f(x0), steps are never cut short at output times, and
+    the last one may end past t_end.  So the states at a time t have the same
+    bits whatever t_end or other output times a caller asks for.
+
+    A trial step with a non-finite error estimate is rejected and retried
+    shorter; overflow and invalid-value warnings are silenced during the
+    solve, since such a step is not an error.  An accepted state that is not
+    finite or exceeds ``blowup_norm``, a non-finite f(x0), or a step shrunk
+    below ten ulps of t raises BlowupError with the escape time.
+    """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not t_end > t0:
+        raise ValueError(f"t_end = {t_end!r} must come after t0 = {t0!r}")
+    theta = np.asarray(theta, dtype=float)
+    fun = lambda t, x: np.asarray(model.field(t, x, theta), dtype=float)
+    t = float(t0)
     x = np.asarray(x0, dtype=float)
-    for i in range(len(t_grid) - 1):
-        h = (t_grid[i + 1] - t_grid[i]) / substeps
-        t = t_grid[i]
-        for _ in range(substeps):
-            k1 = fun(t, x)
-            k2 = fun(t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = fun(t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = fun(t + h, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-            if _escaped(x, blowup_norm):
+    atol = _STEP_TARGET * tol
+    starts, sizes, states, coefficients = [], [], [], []
+    stages = np.empty((7, x.size))
+    with np.errstate(invalid="ignore", over="ignore"):
+        f = fun(t, x)
+        if _escaped(f, np.inf):
+            raise BlowupError(f"vector field is not finite at t = {t:.6g}", escape_time=t)
+        h = float(_initial_step(fun, t, x, f, atol * (1.0 + np.abs(x))))
+        failed_at = t
+        rejected = False
+        while t < t_end:
+            if h < 10 * math.ulp(t):
                 raise BlowupError(
-                    f"trajectory exceeded norm bound {blowup_norm:g} near t = {t:.6g}",
-                    escape_time=t,
+                    f"step size underflow: the solution cannot be continued past t = {failed_at:.6g}",
+                    escape_time=failed_at,
                 )
-        out[i + 1] = x
-    return out
+            stages[0] = f
+            for i in range(1, 6):
+                stages[i] = fun(t + _DP_C[i] * h, x + h * (_DP_A[i] @ stages[:i]))
+            x_new = x + h * (_DP_B @ stages[:6])
+            stages[6] = f_new = fun(t + h, x_new)
+            scale = atol * (1.0 + np.maximum(np.abs(x), np.abs(x_new)))
+            ratio = float(np.max(np.abs(h * (_DP_E @ stages)) / scale, initial=0.0))
+            if ratio <= 1.0:  # False for NaN
+                starts.append(t)
+                sizes.append(h)
+                states.append(x)
+                coefficients.append(_DP_P @ stages)
+                t, x, f = t + h, x_new, f_new
+                if _escaped(x, blowup_norm):
+                    raise BlowupError(
+                        f"trajectory exceeded norm bound {blowup_norm:g} near t = {t:.6g}",
+                        escape_time=t,
+                    )
+                factor = 10.0 if ratio == 0.0 else min(10.0, 0.9 * ratio**-0.2)
+                h *= min(1.0, factor) if rejected else factor
+                rejected = False
+            else:
+                failed_at = t + h
+                h *= max(0.2, 0.9 * ratio**-0.2) if math.isfinite(ratio) else 0.2
+                rejected = True
+    arrays = [np.array(a) for a in (starts, sizes, states, coefficients)]
+    for a in arrays:
+        a.setflags(write=False)  # a cached solution is shared by every caller
+    return DenseSolution(*arrays, t)
 
 
 def integrate(model, theta, x0, t_grid, tol: float = 1e-8, blowup_norm: float = DEFAULT_BLOWUP_NORM) -> Trajectory:
-    """Integrate the model with classic fixed-step RK4 plus step doubling.
+    """States of the model on t_grid, from x0 at t_grid[0], by ``dense_solve``.
 
-    The substep count per output interval doubles until another halving moves
-    every output state by less than ``tol`` in the max norm.  Diverging
-    solutions raise BlowupError with the escape time attached.
+    ``tol`` bounds the error of the returned states: each step's local error
+    is held below 0.01 * tol * (1 + |x|), which on both study designs kept
+    the max-norm global error below tol for tol from 1e-6 to 1e-12.  A
+    grid's states are the dense output of one solve from t_grid[0], so they
+    equal bit for bit the matching rows of any other grid with the same
+    start.  Diverging solutions raise BlowupError with the escape time
+    attached.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.size < 2:
         raise EmptyInputError("integration grid needs at least two points")
-    theta = np.asarray(theta, dtype=float)
-    fun = lambda t, x: np.asarray(model.field(t, x, theta), dtype=float)
-    substeps = 4
-    prev = _rk4_pass(fun, np.asarray(x0, dtype=float), ts, substeps, blowup_norm)
-    max_substeps = 2**16
-    while substeps <= max_substeps:
-        substeps *= 2
-        cur = _rk4_pass(fun, np.asarray(x0, dtype=float), ts, substeps, blowup_norm)
-        if np.max(np.abs(cur - prev)) < tol:
-            return Trajectory(times=ts, states=cur)
-        prev = cur
-    raise RuntimeError(f"RK4 step doubling did not reach tol = {tol:g} within {max_substeps} substeps")
+    solution = dense_solve(model, theta, x0, ts[0], ts[-1], tol=tol, blowup_norm=blowup_norm)
+    return Trajectory(times=ts, states=solution(ts))
 
 
 def matrix_exponential(a_matrix, t: float = 1.0) -> np.ndarray:

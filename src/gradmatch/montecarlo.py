@@ -1,6 +1,7 @@
 """Reproducible Monte Carlo harness for the two-step estimator.
 
-A replication draws Gaussian noise around a cached true trajectory, selects
+A replication draws Gaussian noise around a cached true trajectory (one
+dense-output solve per experiment design, read off on every grid), selects
 knots, fits the shared spline, and estimates the parameters once per weight
 variant.  Replications are independent and reproducible individually: the
 noise stream for replication r is seeded by (master seed, r, purpose), so
@@ -27,7 +28,7 @@ from .estimator import (
     fit_nonlinear,
 )
 from .knots import KnotPolicy, select_knots
-from .models import get_model_spec, integrate
+from .models import dense_solve, get_model_spec
 from .splines import BSplineBasis, KnotSequence, eval_fit, fit_least_squares
 
 # substream purpose codes
@@ -142,17 +143,21 @@ def observation_times(config: ExperimentConfig) -> np.ndarray:
     return np.arange(config.n) * (config.t_end / config.n)
 
 
+@lru_cache(maxsize=8)
+def _truth_solution(model: str, fixed: tuple, theta_star: tuple, x0: tuple, t_end: float):
+    """The true path from x0 at t = 0, solved once to t_end for every grid and n."""
+    field_model = get_model_spec(model).build(dict(fixed))
+    return dense_solve(field_model, np.asarray(theta_star), np.asarray(x0), 0.0, t_end, tol=_TRUTH_TOL)
+
+
 @lru_cache(maxsize=64)
 def _truth_states(model: str, fixed: tuple, theta_star: tuple, x0: tuple, t_end: float, n_grid: int, kind: str):
-    """Ground-truth states on the observation or fine grid, integrated once."""
-    spec = get_model_spec(model)
-    field_model = spec.build(dict(fixed))
+    """Ground-truth states on the observation or fine grid, read off the one solve."""
     if kind == "obs":
         grid = np.arange(n_grid) * (t_end / n_grid)
     else:
         grid = np.linspace(0.0, t_end, n_grid)
-    traj = integrate(field_model, np.asarray(theta_star), np.asarray(x0), grid, tol=_TRUTH_TOL)
-    states = traj.states
+    states = _truth_solution(model, fixed, theta_star, x0, t_end)(grid)
     states.setflags(write=False)
     return grid, states
 
@@ -343,6 +348,9 @@ def run_experiment(config: ExperimentConfig, n_jobs: int = 1) -> SummaryTable:
     """
     indices = range(config.replications)
     if n_jobs > 1:
+        # solve the truth here, so forked workers inherit it instead of solving again
+        _truth_obs(config)
+        _truth_fine(config)
         chunk = max(1, config.replications // (8 * n_jobs))
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(_replication_task, [(config, i) for i in indices], chunksize=chunk))

@@ -312,11 +312,24 @@ class TestMonteCarlo:
         config = write_mc_config(tmp_path / "config.json")
         assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 5
 
-    def test_blowup_truth_exits_3(self, tmp_path):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_blowup_truth_exits_3(self, tmp_path, jobs):
         config = write_mc_config(
             tmp_path / "config.json",
             theta_star=[0.0, -1.5, 1.0, 1.5, 1.0, -1.5],
             fixed={"a1": 0.0, "b2": 1.0},
             x0=[4.0, 2.0],
         )
-        assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 3
+        assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "o"), "--jobs", jobs]) == 3
+
+    def test_truth_solved_once_over_all_n(self, tmp_path, monkeypatch):
+        import gradmatch.montecarlo as mc
+
+        calls = []
+        real = mc.dense_solve
+        monkeypatch.setattr(mc, "dense_solve", lambda *a, **k: calls.append(1) or real(*a, **k))
+        mc._truth_solution.cache_clear()
+        mc._truth_states.cache_clear()
+        config = write_mc_config(tmp_path / "config.json", n_list=[20, 50])
+        assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1

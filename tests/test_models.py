@@ -1,6 +1,12 @@
-"""Tests for vector-field models, RK4 integration, expm, and the Duhamel solver."""
+"""Tests for vector-field models, the Dormand-Prince integrator, expm, and the Duhamel solver.
+
+The integrator is checked against two oracles: ``reference_integrate``, the
+fixed-step RK4 step-doubling ladder the package used before its dense-output
+solver, and scipy's DOP853 at tight tolerances when scipy is installed.
+"""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +16,9 @@ from gradmatch.models import (
     MODEL_REGISTRY,
     PartiallyLinearSystem,
     Trajectory,
+    _escaped,
     damped_linear_field,
+    dense_solve,
     duhamel_solve,
     get_model_spec,
     glv_field,
@@ -21,6 +29,57 @@ from gradmatch.models import (
 )
 
 THETA_CASE1 = np.array([0.0, -1.5, 1.0, 2.0, 0.0, -1.5])
+
+# the cycle and damped designs of configs/full_case1.json and full_case2.json
+DESIGNS = {
+    "cycle": (THETA_CASE1, np.array([1.0, 2.0])),
+    "damped": (np.array([0.0, -1.5, 1.0, 1.5, -1.0, -1.5]), np.array([4.0, 2.0])),
+}
+
+
+def _rk4_pass(fun, x0, t_grid, substeps, blowup_norm):
+    d = len(x0)
+    out = np.empty((len(t_grid), d))
+    out[0] = x0
+    x = np.asarray(x0, dtype=float)
+    for i in range(len(t_grid) - 1):
+        h = (t_grid[i + 1] - t_grid[i]) / substeps
+        t = t_grid[i]
+        for _ in range(substeps):
+            k1 = fun(t, x)
+            k2 = fun(t + 0.5 * h, x + 0.5 * h * k1)
+            k3 = fun(t + 0.5 * h, x + 0.5 * h * k2)
+            k4 = fun(t + h, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+            if _escaped(x, blowup_norm):
+                raise BlowupError(
+                    f"trajectory exceeded norm bound {blowup_norm:g} near t = {t:.6g}",
+                    escape_time=t,
+                )
+        out[i + 1] = x
+    return out
+
+
+def reference_integrate(model, theta, x0, t_grid, tol=1e-8, blowup_norm=1e8):
+    """Oracle: classic fixed-step RK4 plus step doubling.
+
+    The substep count per output interval doubles until another halving moves
+    every output state by less than ``tol`` in the max norm.
+    """
+    ts = np.asarray(t_grid, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    fun = lambda t, x: np.asarray(model.field(t, x, theta), dtype=float)
+    substeps = 4
+    prev = _rk4_pass(fun, np.asarray(x0, dtype=float), ts, substeps, blowup_norm)
+    max_substeps = 2**16
+    while substeps <= max_substeps:
+        substeps *= 2
+        cur = _rk4_pass(fun, np.asarray(x0, dtype=float), ts, substeps, blowup_norm)
+        if np.max(np.abs(cur - prev)) < tol:
+            return Trajectory(times=ts, states=cur)
+        prev = cur
+    raise RuntimeError(f"RK4 step doubling did not reach tol = {tol:g} within {max_substeps} substeps")
 
 
 def numeric_jacobian(fun, x, h=1e-6):
@@ -187,6 +246,75 @@ class TestIntegrate:
         model = glv_field()
         with pytest.raises(EmptyInputError):
             integrate(model, THETA_CASE1, np.array([1.0, 2.0]), np.array([0.0]))
+
+
+class TestDenseSolve:
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_agrees_with_rk4_step_doubling(self, design):
+        theta, x0 = DESIGNS[design]
+        ts = np.linspace(0.0, 20.0, 101)
+        got = integrate(glv_field(), theta, x0, ts, tol=1e-10)
+        want = reference_integrate(glv_field(), theta, x0, ts, tol=1e-10)
+        assert np.max(np.abs(got.states - want.states)) <= 1e-10
+
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_agrees_with_dop853(self, design):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        theta, x0 = DESIGNS[design]
+        model = glv_field()
+        ts = np.linspace(0.0, 20.0, 2001)
+        got = integrate(model, theta, x0, ts, tol=1e-10)
+        want = solve_ivp(
+            lambda t, x: model.field(t, x, theta), (0.0, 20.0), x0,
+            method="DOP853", rtol=1e-13, atol=1e-13, t_eval=ts,
+        ).y.T
+        assert np.max(np.abs(got.states - want)) <= 1e-10
+
+    def test_states_do_not_depend_on_the_other_grid_points(self):
+        # the n = 500 observation grid alone and merged with the fine grid
+        theta, x0 = DESIGNS["cycle"]
+        obs = np.arange(500) * (20.0 / 500)
+        union = np.union1d(obs, np.linspace(0.0, 20.0, 2001))
+        alone = integrate(glv_field(), theta, x0, obs, tol=1e-10).states
+        merged = integrate(glv_field(), theta, x0, union, tol=1e-10).states
+        np.testing.assert_array_equal(merged[np.searchsorted(union, obs)], alone)
+
+    def test_solution_covers_its_span_and_starts_at_x0(self):
+        theta, x0 = DESIGNS["damped"]
+        solution = dense_solve(glv_field(), theta, x0, 0.0, 20.0, tol=1e-8)
+        assert solution.starts[0] == 0.0 and solution.t_end >= 20.0
+        np.testing.assert_array_equal(solution(np.array([0.0]))[0], x0)
+        with pytest.raises(ValueError):
+            solution(np.array([-0.1, 1.0]))
+        with pytest.raises(ValueError):
+            solution(np.array([solution.t_end + 1.0]))
+
+    def test_rejects_bad_tolerance_and_span(self):
+        theta, x0 = DESIGNS["cycle"]
+        with pytest.raises(ValueError):
+            dense_solve(glv_field(), theta, x0, 0.0, 1.0, tol=0.0)
+        with pytest.raises(ValueError):
+            dense_solve(glv_field(), theta, x0, 1.0, 1.0)
+
+    def test_non_finite_start_is_a_blowup_at_t0(self):
+        class _Nan:
+            def field(self, t, x, theta):
+                return np.array([np.nan])
+
+        with pytest.raises(BlowupError) as err:
+            dense_solve(_Nan(), np.zeros(0), [0.0], 0.0, 1.0)
+        assert err.value.escape_time == 0.0
+
+    def test_non_finite_trial_step_warns_nothing(self):
+        class _Breaks:
+            def field(self, t, x, theta):
+                return np.array([np.nan if t > 0.5 else 1.0])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowupError) as err:
+                dense_solve(_Breaks(), np.zeros(0), [0.0], 0.0, 1.0, blowup_norm=np.inf)
+        assert 0.5 < err.value.escape_time <= 0.6
 
 
 class TestMatrixExponential:

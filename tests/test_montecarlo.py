@@ -1,6 +1,8 @@
 """Tests for the simulation harness: streams, replications, aggregation."""
 
 import csv
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -24,8 +26,12 @@ from gradmatch import (
     write_raw_csv,
     write_summary_csv,
 )
+import gradmatch.montecarlo as mc
 from gradmatch.montecarlo import (
     NOISE_PURPOSE,
+    _TRUTH_TOL,
+    _truth_fine,
+    _truth_obs,
     gaussian_draws,
     observation_times,
     substream,
@@ -48,6 +54,16 @@ def case1_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+@pytest.fixture
+def cold_truth():
+    """Empty the truth caches before and after a test, as in a fresh process."""
+    mc._truth_solution.cache_clear()
+    mc._truth_states.cache_clear()
+    yield
+    mc._truth_solution.cache_clear()
+    mc._truth_states.cache_clear()
 
 
 class TestStreams:
@@ -205,6 +221,38 @@ class TestRunReplication:
         result = run_replication(config, 0)
         assert result.ok
         assert np.all(result.curve_rmse < 1e-2)
+
+
+class TestTruth:
+    @pytest.mark.parametrize(
+        "design",
+        [
+            dict(theta_star=THETA_CASE1, fixed=CASE1_FIXED, x0=(1.0, 2.0)),
+            dict(theta_star=(0.0, -1.5, 1.0, 1.5, -1.0, -1.5), fixed={"a1": 0.0, "b2": -1.0}, x0=(4.0, 2.0)),
+        ],
+        ids=["cycle", "damped"],
+    )
+    def test_grids_read_off_one_solve_equal_integrate(self, design):
+        config = case1_config(n=500, **design)
+        model, theta, x0 = config.build_model(), np.array(config.theta_star), np.array(config.x0)
+        for grid, states in (_truth_obs(config), _truth_fine(config)):
+            direct = integrate(model, theta, x0, grid, tol=_TRUTH_TOL)
+            np.testing.assert_array_equal(states, direct.states)
+
+    def test_workers_inherit_the_truth(self, cold_truth, monkeypatch, tmp_path):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit the parent's truth only when forked")
+        log = tmp_path / "solver_pids.txt"
+        real = mc.dense_solve
+
+        def logged(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "dense_solve", logged)
+        run_experiment(case1_config(n=50, replications=4), n_jobs=2)
+        assert log.read_text().split() == [str(os.getpid())]
 
 
 class TestRunExperiment:
