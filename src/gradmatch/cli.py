@@ -7,9 +7,9 @@ Subcommands:
     mc         replicated simulation study driven by a JSON config file
 
 Exit codes: 0 success, 2 usage or configuration problem (including a
-negative knot count or a rank-deficient first-step spline fit), 3 simulation
-failure (trajectory blow-up), 4 identifiability failure, 5 too many failed
-replications.
+negative knot count, an mc --jobs below 1, or a rank-deficient first-step
+spline fit), 3 simulation failure (trajectory blow-up), 4 identifiability
+failure, 5 too many failed replications.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc = sub.add_parser("mc", help="replicated simulation study from a JSON config")
     mc.add_argument("--config", required=True, help="JSON experiment configuration")
     mc.add_argument("--out-dir", required=True, help="directory for summary and raw CSV files")
-    mc.add_argument("--jobs", type=int, default=1, help="parallel replication workers")
+    mc.add_argument("--jobs", type=int, default=1, help="parallel replication workers, at least 1")
     return parser
 
 
@@ -262,6 +262,9 @@ def load_mc_config(path) -> dict:
 
 
 def cmd_mc(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs expects an integer >= 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         raw = load_mc_config(args.config)
     except ConfigError as err:

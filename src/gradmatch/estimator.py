@@ -119,11 +119,14 @@ def _path_values(path, ts: np.ndarray) -> np.ndarray:
 
 
 class _PathSample(NamedTuple):
-    """A fit on its quadrature grid: nodes, trapezoid weights, w, x-hat, x-hat'."""
+    """A fit on its quadrature grid: nodes, trapezoid weights, x-hat, x-hat'.
+
+    It depends on the fit and ``quad_nodes`` only, not on the weight, so every
+    weight's estimate and criterion can read the same sample.
+    """
 
     nodes: np.ndarray
     delta: np.ndarray
-    w: np.ndarray
     x: np.ndarray
     xdot: np.ndarray
 
@@ -131,8 +134,7 @@ class _PathSample(NamedTuple):
 def _sample_path(fit: SplineFit, config: CriterionConfig) -> _PathSample:
     """The estimator's one evaluation of the spline path on the quadrature grid."""
     nodes, delta = quadrature_grid(fit, config)
-    x, xdot = eval_fit(fit, nodes), eval_fit_derivative(fit, nodes)
-    return _PathSample(nodes, delta, config.weight(nodes), x, xdot)
+    return _PathSample(nodes, delta, eval_fit(fit, nodes), eval_fit_derivative(fit, nodes))
 
 
 def _residuals(sample: _PathSample, model: VectorFieldModel, theta):
@@ -142,12 +144,15 @@ def _residuals(sample: _PathSample, model: VectorFieldModel, theta):
     return resid if np.all(np.isfinite(resid)) else None
 
 
-def _criterion_value(sample: _PathSample, model: VectorFieldModel, theta, q: float) -> float:
+def _criterion_parts(sample: _PathSample, model: VectorFieldModel, theta, config: CriterionConfig):
+    """The criterion value and its per-dimension components from one residual."""
     resid = _residuals(sample, model, theta)
     if resid is None:
-        return np.inf
-    enorm = np.linalg.norm(resid, axis=1)
-    return float(np.sum(sample.delta * sample.w * enorm**q) ** (1.0 / q))
+        return np.inf, np.full(sample.x.shape[1], np.inf)
+    q = config.q
+    dw = sample.delta * config.weight(sample.nodes)
+    value = float(np.sum(dw * np.linalg.norm(resid, axis=1) ** q) ** (1.0 / q))
+    return value, np.sum(dw[:, None] * np.abs(resid) ** q, axis=0) ** (1.0 / q)
 
 
 def criterion(fit: SplineFit, model: VectorFieldModel, theta, config: CriterionConfig) -> float:
@@ -156,7 +161,7 @@ def criterion(fit: SplineFit, model: VectorFieldModel, theta, config: CriterionC
     Non-finite field values on the grid give an infinite criterion rather than
     an exception, so a search can treat them as a rejected trial.
     """
-    return _criterion_value(_sample_path(fit, config), model, theta, config.q)
+    return _criterion_parts(_sample_path(fit, config), model, theta, config)[0]
 
 
 def criterion_components(fit: SplineFit, model: VectorFieldModel, theta, config: CriterionConfig) -> np.ndarray:
@@ -164,25 +169,22 @@ def criterion_components(fit: SplineFit, model: VectorFieldModel, theta, config:
 
     The q-th powers of the components sum to the q-th power of criterion().
     """
-    sample = _sample_path(fit, config)
-    resid = _residuals(sample, model, theta)
-    if resid is None:
-        return np.full(sample.x.shape[1], np.inf)
-    q = config.q
-    return np.sum(sample.delta[:, None] * sample.w[:, None] * np.abs(resid) ** q, axis=0) ** (1.0 / q)
+    return _criterion_parts(_sample_path(fit, config), model, theta, config)[1]
 
 
 @dataclass(frozen=True)
 class TwoStepEstimate:
     """Estimated parameters plus the local diagnostics at the estimate.
 
-    theta_hat carries the full parameter vector (fixed entries echoed).  jstar,
-    gamma_s, gamma_b live in free-parameter space, evaluated along the fitted
-    path at theta_hat.
+    theta_hat carries the full parameter vector (fixed entries echoed).
+    components is the per-dimension split of criterion_value, as
+    criterion_components() gives it at theta_hat.  jstar, gamma_s, gamma_b live
+    in free-parameter space, evaluated along the fitted path at theta_hat.
     """
 
     theta_hat: np.ndarray
     criterion_value: float
+    components: np.ndarray
     jstar: np.ndarray
     jstar_condition: float
     gamma_s: np.ndarray
@@ -204,9 +206,9 @@ def _name_directions(model: VectorFieldModel, null_vectors: np.ndarray) -> str:
     return "; ".join(parts)
 
 
-def _solve_linear(sample: _PathSample, model: VectorFieldModel) -> np.ndarray:
+def _solve_linear(sample: _PathSample, model: VectorFieldModel, weight: WeightFunction) -> np.ndarray:
     """Closed-form minimizer of the discretized q = 2 criterion, free entries."""
-    scale = np.sqrt(sample.w * sample.delta)
+    scale = np.sqrt(weight(sample.nodes) * sample.delta)
     basis = np.asarray(model.linear_basis(sample.nodes, sample.x), dtype=float)  # (m, d, p_free)
     offset = np.asarray(model.linear_offset(sample.nodes, sample.x), dtype=float)  # (m, d)
     m, d, p_free = basis.shape
@@ -231,16 +233,18 @@ def _assemble_theta(model: VectorFieldModel, theta_free: np.ndarray) -> np.ndarr
 
 
 def _estimate(fit, sample, model, theta, config, converged, iterations) -> TwoStepEstimate:
-    """Criterion value and diagnostics at theta, from the one sample of the fit."""
+    """Criterion value, its components and the diagnostics at theta, from one sample of the fit."""
     if not np.all(np.isfinite(sample.x)):
         raise np.linalg.LinAlgError("fitted path is not finite on the quadrature grid")
     path = Trajectory(sample.nodes, sample.x)
     jstar, cond = criterion_hessian(path, model, theta, config.weight, sample.nodes)
     gamma_s = smooth_functional(path, model, theta, config.weight, sample.nodes)
     gamma_b = boundary_functional(fit, model, theta, config.weight)
+    value, components = _criterion_parts(sample, model, theta, config)
     return TwoStepEstimate(
         theta_hat=theta,
-        criterion_value=_criterion_value(sample, model, theta, config.q),
+        criterion_value=value,
+        components=components,
         jstar=jstar,
         jstar_condition=cond,
         gamma_s=gamma_s,
@@ -316,8 +320,12 @@ def fit_linear_in_theta(fit: SplineFit, model: VectorFieldModel, config: Criteri
         raise ValueError("model has no linear-in-parameters decomposition")
     if config.q != 2:
         raise ValueError("closed form requires q = 2")
-    sample = _sample_path(fit, config)
-    theta = _assemble_theta(model, _solve_linear(sample, model))
+    return _fit_linear(fit, _sample_path(fit, config), model, config)
+
+
+def _fit_linear(fit, sample, model, config) -> TwoStepEstimate:
+    """fit_linear_in_theta on a sample of the fit, without the input checks."""
+    theta = _assemble_theta(model, _solve_linear(sample, model, config.weight))
     return _estimate(fit, sample, model, theta, config, converged=True, iterations=0)
 
 
@@ -343,11 +351,15 @@ def fit_nonlinear(
         raise ValueError("Gauss-Newton fitting requires q = 2")
     if theta_init is None and model.linear_basis is None:
         raise ValueError("theta_init is required for models without a linear decomposition")
-    sample = _sample_path(fit, config)
-    if theta_init is None:
-        theta_init = _assemble_theta(model, _solve_linear(sample, model))
+    return _fit_nonlinear(fit, _sample_path(fit, config), model, theta_init, config, max_iter, starts)
 
-    scale = np.sqrt(sample.w * sample.delta)
+
+def _fit_nonlinear(fit, sample, model, theta_init, config, max_iter=200, starts=None) -> TwoStepEstimate:
+    """fit_nonlinear on a sample of the fit, without the input checks."""
+    if theta_init is None:
+        theta_init = _assemble_theta(model, _solve_linear(sample, model, config.weight))
+
+    scale = np.sqrt(config.weight(sample.nodes) * sample.delta)
     free = model.free_indices
 
     def residual(z):
@@ -516,8 +528,8 @@ def fit_partially_observed(
     """
     if config.q != 2:
         raise ValueError("Gauss-Newton fitting requires q = 2")
-    nodes, delta, w, u, udot = _sample_path(u_fit, config)
-    scale = np.sqrt(w * delta)
+    nodes, delta, u, udot = _sample_path(u_fit, config)
+    scale = np.sqrt(config.weight(nodes) * delta)
     d2 = system.d_hidden
 
     eta0 = np.atleast_1d(np.asarray(eta0, dtype=float))

@@ -19,14 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSampleError, ExperimentError, GradMatchError
-from .estimator import (
-    CriterionConfig,
-    TwoStepEstimate,
-    WeightFunction,
-    criterion_components,
-    fit_linear_in_theta,
-    fit_nonlinear,
-)
+from .estimator import CriterionConfig, TwoStepEstimate, WeightFunction, _fit_linear, _fit_nonlinear, _sample_path
 from .knots import KnotPolicy, select_knots
 from .models import dense_solve, get_model_spec
 from .splines import BSplineBasis, KnotSequence, eval_fit, fit_least_squares
@@ -151,32 +144,22 @@ def _truth_solution(model: str, fixed: tuple, theta_star: tuple, x0: tuple, t_en
 
 
 @lru_cache(maxsize=64)
-def _truth_states(model: str, fixed: tuple, theta_star: tuple, x0: tuple, t_end: float, n_grid: int, kind: str):
-    """Ground-truth states on the observation or fine grid, read off the one solve."""
-    if kind == "obs":
-        grid = np.arange(n_grid) * (t_end / n_grid)
-    else:
-        grid = np.linspace(0.0, t_end, n_grid)
-    states = _truth_solution(model, fixed, theta_star, x0, t_end)(grid)
-    states.setflags(write=False)
-    return grid, states
+def _truth_grids(config: ExperimentConfig):
+    """Observation times, the true states there, the fine grid and the true states there.
 
-
-def _truth_obs(config: ExperimentConfig):
-    return _truth_states(
-        config.model, config.fixed, config.theta_star, config.x0, config.t_end, config.n, "obs"
-    )
-
-
-def _truth_fine(config: ExperimentConfig):
-    return _truth_states(
-        config.model, config.fixed, config.theta_star, config.x0, config.t_end, _FINE_GRID, "fine"
-    )
+    All four are read off the one solve of the design and are read-only.
+    """
+    solution = _truth_solution(config.model, config.fixed, config.theta_star, config.x0, config.t_end)
+    times, fine_ts = observation_times(config), np.linspace(0.0, config.t_end, _FINE_GRID)
+    grids = (times, solution(times), fine_ts, solution(fine_ts))
+    for array in grids:
+        array.setflags(write=False)
+    return grids
 
 
 def simulate_data(config: ExperimentConfig, rep_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Observation times and noisy observations for one replication."""
-    times, truth = _truth_obs(config)
+    times, truth, _, _ = _truth_grids(config)
     rng = substream(config.seed, rep_index, NOISE_PURPOSE)
     noise = config.sigma * gaussian_draws(rng, truth.shape)
     return times, truth + noise
@@ -192,7 +175,6 @@ class ReplicationResult:
     selected_knots: tuple = None
     curve_rmse: np.ndarray = None
     estimates: dict = None
-    components: dict = None
 
 
 def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResult:
@@ -213,22 +195,25 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
         if fit.rank_deficient:
             return ReplicationResult(rep_index, False, failure="rank-deficient first-step spline")
 
-        fine_ts, fine_truth = _truth_fine(config)
+        _, _, fine_ts, fine_truth = _truth_grids(config)
         diff = eval_fit(fit, fine_ts) - fine_truth
         curve_rmse = np.sqrt(np.trapezoid(diff**2, fine_ts, axis=0))
 
+        crits = {
+            name: CriterionConfig(weight=config.weight_function(name), quad_nodes=config.quad_nodes)
+            for name in config.weights
+        }
+        # the path sample does not depend on the weight, so every weight reads this one
+        sample = _sample_path(fit, crits[config.weights[0]])
         estimates = {}
-        components = {}
-        for name in config.weights:
-            crit = CriterionConfig(weight=config.weight_function(name), quad_nodes=config.quad_nodes)
+        for name, crit in crits.items():
             if model.is_linear_in_params:
-                est = fit_linear_in_theta(fit, model, crit)
+                est = _fit_linear(fit, sample, model, crit)
             else:
-                est = fit_nonlinear(fit, model, np.asarray(config.theta_star), crit)
+                est = _fit_nonlinear(fit, sample, model, np.asarray(config.theta_star), crit)
             if not est.converged or not np.all(np.isfinite(est.theta_hat)):
                 return ReplicationResult(rep_index, False, failure=f"non-converged ({name})")
             estimates[name] = est
-            components[name] = criterion_components(fit, model, est.theta_hat, crit)
     except (GradMatchError, np.linalg.LinAlgError) as err:
         return ReplicationResult(rep_index, False, failure=f"{type(err).__name__}: {err}")
     return ReplicationResult(
@@ -237,7 +222,6 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
         selected_knots=tuple(selection.selected_knots),
         curve_rmse=curve_rmse,
         estimates=estimates,
-        components=components,
     )
 
 
@@ -251,11 +235,11 @@ class KSResult:
     sample_size: int
 
 
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
 def _phi(z: np.ndarray) -> np.ndarray:
-    out = np.empty(z.size)
-    for i, v in enumerate(z):
-        out[i] = 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
-    return out
+    return 0.5 * (1.0 + _erf(z / math.sqrt(2.0)).astype(float))
 
 
 def _lilliefors_statistic(sample: np.ndarray) -> float:
@@ -349,8 +333,7 @@ def run_experiment(config: ExperimentConfig, n_jobs: int = 1) -> SummaryTable:
     indices = range(config.replications)
     if n_jobs > 1:
         # solve the truth here, so forked workers inherit it instead of solving again
-        _truth_obs(config)
-        _truth_fine(config)
+        _truth_grids(config)
         chunk = max(1, config.replications // (8 * n_jobs))
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(_replication_task, [(config, i) for i in indices], chunksize=chunk))
@@ -379,7 +362,7 @@ def run_experiment(config: ExperimentConfig, n_jobs: int = 1) -> SummaryTable:
         errors = thetas - theta_star[None, :]
         mse = float(np.mean(np.sum(errors**2, axis=1)))
         std = thetas.std(axis=0, ddof=1) if len(good) > 1 else None
-        comps = np.array([r.components[name] for r in good])
+        comps = np.array([r.estimates[name].components for r in good])
         crits = np.array([r.estimates[name].criterion_value for r in good])
         if len(good) >= 50:
             ks = tuple(

@@ -280,6 +280,13 @@ class TestMonteCarlo:
         assert main(["mc", "--config", str(config), "--out-dir", str(out2), "--jobs", "2"]) == 0
         assert (out1 / "t_summary.csv").read_bytes() == (out2 / "t_summary.csv").read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2(self, tmp_path, jobs, capsys):
+        config = write_mc_config(tmp_path / "config.json")
+        assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "o"), "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key_exits_2(self, tmp_path):
         config = write_mc_config(tmp_path / "config.json", bogus=1)
         assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
@@ -329,7 +336,7 @@ class TestMonteCarlo:
         real = mc.dense_solve
         monkeypatch.setattr(mc, "dense_solve", lambda *a, **k: calls.append(1) or real(*a, **k))
         mc._truth_solution.cache_clear()
-        mc._truth_states.cache_clear()
+        mc._truth_grids.cache_clear()
         config = write_mc_config(tmp_path / "config.json", n_list=[20, 50])
         assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 0
         assert len(calls) == 1

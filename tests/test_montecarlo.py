@@ -1,6 +1,7 @@
 """Tests for the simulation harness: streams, replications, aggregation."""
 
 import csv
+import math
 import multiprocessing
 import os
 
@@ -16,6 +17,7 @@ from gradmatch import (
     KnotSequence,
     BSplineBasis,
     criterion,
+    criterion_components,
     fit_least_squares,
     integrate,
     ks_normality,
@@ -26,12 +28,12 @@ from gradmatch import (
     write_raw_csv,
     write_summary_csv,
 )
+import gradmatch.estimator as estimator
 import gradmatch.montecarlo as mc
 from gradmatch.montecarlo import (
     NOISE_PURPOSE,
     _TRUTH_TOL,
-    _truth_fine,
-    _truth_obs,
+    _truth_grids,
     gaussian_draws,
     observation_times,
     substream,
@@ -60,10 +62,10 @@ def case1_config(**overrides):
 def cold_truth():
     """Empty the truth caches before and after a test, as in a fresh process."""
     mc._truth_solution.cache_clear()
-    mc._truth_states.cache_clear()
+    mc._truth_grids.cache_clear()
     yield
     mc._truth_solution.cache_clear()
-    mc._truth_states.cache_clear()
+    mc._truth_grids.cache_clear()
 
 
 class TestStreams:
@@ -181,6 +183,49 @@ class TestRunReplication:
             assert a.estimates[name].criterion_value == b.estimates[name].criterion_value
         np.testing.assert_array_equal(a.curve_rmse, b.curve_rmse)
 
+    def test_one_path_sample_serves_both_weights(self, monkeypatch):
+        config = case1_config()
+        calls = {}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+                calls[key] = calls.get(key, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("quadrature_grid", "eval_fit", "eval_fit_derivative"):
+            counted(estimator, name)
+        counted(mc, "eval_fit")
+        result = run_replication(config, 0)
+        assert result.ok and set(result.estimates) == {"boundary", "uniform"}
+        # one sample of the quadrature grid for both weights; eval_fit also runs
+        # once on the fine grid (curve RMSE) and once per weight at the two
+        # endpoints (gamma_b)
+        assert calls == {
+            "estimator.quadrature_grid": 1,
+            "estimator.eval_fit_derivative": 1,
+            "estimator.eval_fit": 3,
+            "montecarlo.eval_fit": 1,
+        }
+
+    def test_components_equal_the_public_criterion_at_the_estimate(self):
+        config = case1_config()
+        result = run_replication(config, 0)
+        assert result.ok
+        times, ys = simulate_data(config, 0)
+        basis = BSplineBasis(KnotSequence(config.interval, result.selected_knots, config.knot_policy.order))
+        fit = fit_least_squares(basis, times, ys)
+        model = config.build_model()
+        for name in config.weights:
+            crit = CriterionConfig(weight=config.weight_function(name), quad_nodes=config.quad_nodes)
+            est = result.estimates[name]
+            np.testing.assert_array_equal(est.components, criterion_components(fit, model, est.theta_hat, crit))
+            assert est.criterion_value == criterion(fit, model, est.theta_hat, crit)
+
     def test_zero_noise_recovers_parameters(self):
         dense = KnotPolicy(candidate_count=60, selection="fixed-uniform")
         config = case1_config(sigma=0.0, n=300, knot_policy=dense)
@@ -235,7 +280,8 @@ class TestTruth:
     def test_grids_read_off_one_solve_equal_integrate(self, design):
         config = case1_config(n=500, **design)
         model, theta, x0 = config.build_model(), np.array(config.theta_star), np.array(config.x0)
-        for grid, states in (_truth_obs(config), _truth_fine(config)):
+        times, truth, fine_ts, fine_truth = _truth_grids(config)
+        for grid, states in ((times, truth), (fine_ts, fine_truth)):
             direct = integrate(model, theta, x0, grid, tol=_TRUTH_TOL)
             np.testing.assert_array_equal(states, direct.states)
 
@@ -386,6 +432,11 @@ class TestKSNormality:
             b.reject,
         )
         assert a.sample_size == 120
+
+    def test_phi_equals_the_elementwise_erf_loop(self):
+        z = np.concatenate([np.linspace(-9.0, 9.0, 1001), [0.0, -0.0, 1e-300, 40.0, -40.0]])
+        loop = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z])
+        np.testing.assert_array_equal(mc._phi(z), loop)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
