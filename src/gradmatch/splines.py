@@ -6,7 +6,10 @@ interval ``[t_lo, t_hi]``; interior knots are simple and strictly inside the
 interval, and the endpoint knots are repeated ``order`` times so the basis is
 clamped.  Evaluation uses the two-term recurrence with the usual 0/0 = 0
 convention, half-open spans, and the last nonempty span closed on the right so
-the basis still sums to one at ``t_hi``.
+the basis still sums to one at ``t_hi``.  It runs locally, over the ``order``
+B-splines nonzero on each point's span, and scatters them into dense matrices
+that equal the all-columns recurrence bit for bit; non-finite points are
+rejected.
 """
 
 from __future__ import annotations
@@ -99,49 +102,45 @@ class BSplineBasis:
 
 def _check_domain(interval: tuple[float, float], ts: np.ndarray) -> None:
     lo, hi = interval
-    if ts.size and (ts.min() < lo or ts.max() > hi):
+    # written so that a NaN point fails the test too
+    if ts.size and not (lo <= ts.min() and ts.max() <= hi):
         raise OutOfDomainError(
             f"evaluation points must lie in [{lo}, {hi}], got range [{ts.min()}, {ts.max()}]"
         )
 
 
-def _indicator_columns(tau: np.ndarray, ts: np.ndarray, hi: float) -> np.ndarray:
-    # Order-1 basis: half-open span indicators, with the last nonempty span
-    # closed at hi so the partition of unity extends to the right endpoint.
-    cols = ((ts[:, None] >= tau[None, :-1]) & (ts[:, None] < tau[None, 1:])).astype(float)
-    at_hi = ts == hi
-    if np.any(at_hi):
-        nonempty = np.nonzero(tau[1:] > tau[:-1])[0]
-        cols[at_hi, :] = 0.0
-        if nonempty.size:
-            cols[at_hi, nonempty[-1]] = 1.0
-    return cols
+def _local_columns(tau: np.ndarray, order: int, ts: np.ndarray, r: int = 0) -> np.ndarray:
+    """r-th derivatives of the order-``order`` B-splines on ``tau`` at ``ts``, dense (m, len(tau)-order).
 
-
-def _basis_columns(tau: np.ndarray, order: int, ts: np.ndarray, hi: float) -> np.ndarray:
-    """Values of all order-``order`` B-splines on ``tau``; shape (len(ts), len(tau)-order)."""
-    cols = _indicator_columns(tau, ts, hi)
+    The recurrences run over the ``order`` B-splines nonzero on each point's
+    span, for values up to order ``order - r`` and for derivatives after that.
+    """
+    m = ts.size
+    # half-open spans; t_hi falls in the last nonempty span
+    span = np.minimum(np.searchsorted(tau, ts, side="right"), len(tau) - order) - 1
+    t = ts[:, None]
+    zero = np.zeros((m, 1))
+    vals = np.ones((m, 1))
     for kp in range(2, order + 1):
-        nfun = len(tau) - kp
-        d1 = tau[kp - 1 : kp - 1 + nfun] - tau[:nfun]
-        d2 = tau[kp : kp + nfun] - tau[1 : 1 + nfun]
+        # the kp order-kp B-splines nonzero on the span: i = span-kp+1 .. span
+        idx = span[:, None] + np.arange(1 - kp, 1)
+        # zero-padded on either side; a product with the pad is an exact zero
+        lower = np.hstack((zero, vals))
+        upper = np.hstack((vals, zero))
+        d1 = tau[idx + kp - 1] - tau[idx]
+        d2 = tau[idx + kp] - tau[idx + 1]
         # 0/0 = 0 convention on repeated knots
-        left = np.where(d1 > 0.0, (ts[:, None] - tau[None, :nfun]) / np.where(d1 > 0.0, d1, 1.0), 0.0)
-        right = np.where(d2 > 0.0, (tau[None, kp : kp + nfun] - ts[:, None]) / np.where(d2 > 0.0, d2, 1.0), 0.0)
-        cols = left * cols[:, :nfun] + right * cols[:, 1 : nfun + 1]
-    return cols
-
-
-def _derivative_columns(tau: np.ndarray, order: int, ts: np.ndarray, hi: float, r: int) -> np.ndarray:
-    if r == 0:
-        return _basis_columns(tau, order, ts, hi)
-    lower = _derivative_columns(tau, order - 1, ts, hi, r - 1)
-    nfun = len(tau) - order
-    d1 = tau[order - 1 : order - 1 + nfun] - tau[:nfun]
-    d2 = tau[order : order + nfun] - tau[1 : 1 + nfun]
-    c1 = np.where(d1 > 0.0, (order - 1) / np.where(d1 > 0.0, d1, 1.0), 0.0)
-    c2 = np.where(d2 > 0.0, (order - 1) / np.where(d2 > 0.0, d2, 1.0), 0.0)
-    return c1[None, :] * lower[:, :nfun] - c2[None, :] * lower[:, 1 : nfun + 1]
+        if kp <= order - r:
+            left = np.where(d1 > 0.0, (t - tau[idx]) / np.where(d1 > 0.0, d1, 1.0), 0.0)
+            right = np.where(d2 > 0.0, (tau[idx + kp] - t) / np.where(d2 > 0.0, d2, 1.0), 0.0)
+            vals = left * lower + right * upper
+        else:
+            c1 = np.where(d1 > 0.0, (kp - 1) / np.where(d1 > 0.0, d1, 1.0), 0.0)
+            c2 = np.where(d2 > 0.0, (kp - 1) / np.where(d2 > 0.0, d2, 1.0), 0.0)
+            vals = c1 * lower - c2 * upper
+    out = np.zeros((m, len(tau) - order))
+    np.put_along_axis(out, span[:, None] + np.arange(1 - order, 1), vals, axis=1)
+    return out
 
 
 def eval_basis(basis: BSplineBasis, t) -> np.ndarray:
@@ -152,7 +151,7 @@ def eval_basis(basis: BSplineBasis, t) -> np.ndarray:
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     _check_domain(basis.interval, ts)
-    out = _basis_columns(basis.augmented, basis.knots.order, ts, basis.interval[1])
+    out = _local_columns(basis.augmented, basis.knots.order, ts)
     return out[0] if np.ndim(t) == 0 else out
 
 
@@ -163,7 +162,7 @@ def eval_basis_derivative(basis: BSplineBasis, t, r: int = 1) -> np.ndarray:
         raise DerivativeOrderError(f"derivative order must satisfy 1 <= r < {k}, got {r}")
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     _check_domain(basis.interval, ts)
-    out = _derivative_columns(basis.augmented, k, ts, basis.interval[1], r)
+    out = _local_columns(basis.augmented, k, ts, r)
     return out[0] if np.ndim(t) == 0 else out
 
 
@@ -173,7 +172,7 @@ def design_matrix(basis: BSplineBasis, times: Sequence[float]) -> np.ndarray:
     if ts.size == 0:
         raise EmptyInputError("design matrix needs at least one observation time")
     _check_domain(basis.interval, ts)
-    return _basis_columns(basis.augmented, basis.knots.order, ts, basis.interval[1])
+    return _local_columns(basis.augmented, basis.knots.order, ts)
 
 
 @dataclass(frozen=True)

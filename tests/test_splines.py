@@ -1,7 +1,9 @@
 """Tests for the B-spline basis, regression, and variance formulas.
 
-The evaluation oracle is an independent naive implementation of the two-term
-recurrence, written before the library code and kept deliberately simple.
+The evaluation oracles are an independent naive implementation of the two-term
+recurrence, written before the library code and kept deliberately simple, and
+the dense all-columns recurrence the library used before its local evaluator,
+which the local one must repeat bit for bit.
 """
 
 import numpy as np
@@ -46,6 +48,59 @@ def naive_bspline(tau, i, order, t, hi):
     if tau[i + order] > tau[i + 1]:
         right = (tau[i + order] - t) / (tau[i + order] - tau[i + 1]) * naive_bspline(tau, i + 1, order - 1, t, hi)
     return left + right
+
+
+def reference_indicator_columns(tau: np.ndarray, ts: np.ndarray, hi: float) -> np.ndarray:
+    # Order-1 basis: half-open span indicators, with the last nonempty span
+    # closed at hi so the partition of unity extends to the right endpoint.
+    cols = ((ts[:, None] >= tau[None, :-1]) & (ts[:, None] < tau[None, 1:])).astype(float)
+    at_hi = ts == hi
+    if np.any(at_hi):
+        nonempty = np.nonzero(tau[1:] > tau[:-1])[0]
+        cols[at_hi, :] = 0.0
+        if nonempty.size:
+            cols[at_hi, nonempty[-1]] = 1.0
+    return cols
+
+
+def reference_basis_columns(tau: np.ndarray, order: int, ts: np.ndarray, hi: float) -> np.ndarray:
+    """Values of all order-``order`` B-splines on ``tau``; shape (len(ts), len(tau)-order)."""
+    cols = reference_indicator_columns(tau, ts, hi)
+    for kp in range(2, order + 1):
+        nfun = len(tau) - kp
+        d1 = tau[kp - 1 : kp - 1 + nfun] - tau[:nfun]
+        d2 = tau[kp : kp + nfun] - tau[1 : 1 + nfun]
+        # 0/0 = 0 convention on repeated knots
+        left = np.where(d1 > 0.0, (ts[:, None] - tau[None, :nfun]) / np.where(d1 > 0.0, d1, 1.0), 0.0)
+        right = np.where(d2 > 0.0, (tau[None, kp : kp + nfun] - ts[:, None]) / np.where(d2 > 0.0, d2, 1.0), 0.0)
+        cols = left * cols[:, :nfun] + right * cols[:, 1 : nfun + 1]
+    return cols
+
+
+def reference_derivative_columns(tau: np.ndarray, order: int, ts: np.ndarray, hi: float, r: int) -> np.ndarray:
+    if r == 0:
+        return reference_basis_columns(tau, order, ts, hi)
+    lower = reference_derivative_columns(tau, order - 1, ts, hi, r - 1)
+    nfun = len(tau) - order
+    d1 = tau[order - 1 : order - 1 + nfun] - tau[:nfun]
+    d2 = tau[order : order + nfun] - tau[1 : 1 + nfun]
+    c1 = np.where(d1 > 0.0, (order - 1) / np.where(d1 > 0.0, d1, 1.0), 0.0)
+    c2 = np.where(d2 > 0.0, (order - 1) / np.where(d2 > 0.0, d2, 1.0), 0.0)
+    return c1[None, :] * lower[:, :nfun] - c2[None, :] * lower[:, 1 : nfun + 1]
+
+
+def random_basis_and_points(rng):
+    """Order 2-6 basis on a random interval with 0-24 simple interior knots, and
+    points inside, at both ends and on every knot, in random order."""
+    order = int(rng.integers(2, 7))
+    lo = rng.uniform(-50.0, 50.0)
+    hi = lo + rng.uniform(1e-3, 100.0)
+    inner = np.unique(rng.uniform(lo, hi, int(rng.integers(0, 25))))
+    inner = inner[(inner > lo) & (inner < hi)]
+    basis = BSplineBasis(KnotSequence((lo, hi), tuple(inner), order))
+    pts = np.concatenate([rng.uniform(lo, hi, int(rng.integers(1, 60))), [lo, hi], inner])
+    rng.shuffle(pts)
+    return basis, pts
 
 
 def naive_row(knots: KnotSequence, t):
@@ -134,6 +189,30 @@ class TestBasisEvaluation:
             eval_basis(basis, 1.5)
         with pytest.raises(OutOfDomainError):
             eval_basis_derivative(basis, -0.1)
+        with pytest.raises(OutOfDomainError):
+            eval_basis(basis, [0.5, np.nan])
+
+    def test_bit_identical_to_dense_recurrence(self):
+        # the local evaluator repeats the dense recurrence entry for entry
+        rng = np.random.default_rng(20261019)
+        for case in range(480):
+            basis, pts = random_basis_and_points(rng)
+            tau, k, hi = basis.augmented, basis.knots.order, basis.interval[1]
+            want = reference_basis_columns(tau, k, pts, hi).tobytes()
+            assert eval_basis(basis, pts).tobytes() == want, case
+            assert design_matrix(basis, pts).tobytes() == want, case
+            for r in range(1, k):
+                want = reference_derivative_columns(tau, k, pts, hi, r).tobytes()
+                assert eval_basis_derivative(basis, pts, r).tobytes() == want, (case, r)
+
+    def test_matches_scipy_design_matrix(self):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(6)
+        for case in range(200):
+            basis, pts = random_basis_and_points(rng)
+            k = basis.knots.order
+            want = interpolate.BSpline.design_matrix(pts, basis.augmented, k - 1).toarray()
+            np.testing.assert_allclose(design_matrix(basis, pts), want, rtol=0, atol=1e-13, err_msg=str(case))
 
     def test_scalar_vs_array_shapes(self):
         basis = BSplineBasis(CASES[2])
