@@ -92,15 +92,13 @@ def quadrature_grid(fit: SplineFit, config: CriterionConfig) -> tuple[np.ndarray
     nodes = np.union1d(
         np.linspace(lo, hi, config.quad_nodes), np.asarray(fit.basis.knots.interior_knots)
     )
-    return nodes, _trapezoid_weights(nodes)
+    return nodes, 0.5 * _neighbour_spans(nodes)
 
 
-def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
-    delta = np.empty_like(nodes)
-    delta[0] = 0.5 * (nodes[1] - nodes[0])
-    delta[-1] = 0.5 * (nodes[-1] - nodes[-2])
-    delta[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
-    return delta
+def _neighbour_spans(a: np.ndarray) -> np.ndarray:
+    """a[i+1] - a[i-1] along the first axis, one-sided (a[1] - a[0], a[-1] - a[-2]) at the ends."""
+    padded = np.concatenate([a[:1], a, a[-1:]])
+    return padded[2:] - padded[:-2]
 
 
 def _path_values(path, ts: np.ndarray) -> np.ndarray:
@@ -108,21 +106,26 @@ def _path_values(path, ts: np.ndarray) -> np.ndarray:
     if isinstance(path, SplineFit):
         return eval_fit(path, ts)
     if isinstance(path, Trajectory):
-        if path.times.shape == ts.shape and np.allclose(path.times, ts, atol=1e-12):
-            return path.states
-        cols = [np.interp(ts, path.times, path.states[:, i]) for i in range(path.states.shape[1])]
-        return np.column_stack(cols)
+        return _interp_rows(path.times, path.states, ts)
     out = np.asarray(path(ts), dtype=float)
     if out.ndim == 1:
         out = out[:, None]
     return out
 
 
+def _interp_rows(grid, values, t):
+    """Linear interpolation of precomputed path values at scalar or array t."""
+    t = np.asarray(t, dtype=float)
+    rows = np.column_stack([np.interp(np.atleast_1d(t), grid, values[:, i]) for i in range(values.shape[1])])
+    return rows[0] if t.ndim == 0 else rows
+
+
 class _PathSample(NamedTuple):
     """A fit on its quadrature grid: nodes, trapezoid weights, x-hat, x-hat'.
 
     It depends on the fit and ``quad_nodes`` only, not on the weight, so every
-    weight's estimate and criterion can read the same sample.
+    weight's estimate and criterion can read the same sample (x-hat' is None
+    in the public diagnostics' samples).
     """
 
     nodes: np.ndarray
@@ -236,9 +239,10 @@ def _estimate(fit, sample, model, theta, config, converged, iterations) -> TwoSt
     """Criterion value, its components and the diagnostics at theta, from one sample of the fit."""
     if not np.all(np.isfinite(sample.x)):
         raise np.linalg.LinAlgError("fitted path is not finite on the quadrature grid")
-    path = Trajectory(sample.nodes, sample.x)
-    jstar, cond = criterion_hessian(path, model, theta, config.weight, sample.nodes)
-    gamma_s = smooth_functional(path, model, theta, config.weight, sample.nodes)
+    jac = np.asarray(model.jacobian_param(sample.nodes, sample.x, theta), dtype=float)[:, :, model.free_indices]
+    w = config.weight(sample.nodes)
+    jstar, cond = _hessian(sample, jac, w)
+    (gamma_s,) = _smooth_integrals(sample, model, theta, jac, w, [sample.x])
     gamma_b = boundary_functional(fit, model, theta, config.weight)
     value, components = _criterion_parts(sample, model, theta, config)
     return TwoStepEstimate(
@@ -382,20 +386,20 @@ def _fit_nonlinear(fit, sample, model, theta_init, config, max_iter=200, starts=
     return _estimate(fit, sample, model, theta, config, converged, iterations)
 
 
-def criterion_hessian(path, model: VectorFieldModel, theta, weight: WeightFunction, nodes) -> tuple[np.ndarray, float]:
-    """Quadrature of D2F' D2F w along the path, restricted to free parameters.
-
-    Returns the symmetric PSD matrix and its 2-norm condition number; a
-    condition number above 1e10 triggers an IdentifiabilityWarning because the
-    criterion is then locally flat along some parameter direction.
-    """
+def _diagnostic_sample(path, model: VectorFieldModel, theta, weight: WeightFunction, nodes):
+    """The public diagnostics' path sample on checked nodes, theta, free D2F and w there."""
     ts = np.asarray(nodes, dtype=float)
+    if ts.ndim != 1 or ts.size < 2 or not np.all(np.diff(ts) > 0):
+        raise ValueError("nodes must be a 1-D strictly increasing array of at least 2 points")
     x = _path_values(path, ts)
     theta = np.asarray(theta, dtype=float)
     jac = np.asarray(model.jacobian_param(ts, x, theta), dtype=float)[:, :, model.free_indices]
-    delta = _trapezoid_weights(ts)
-    w = weight(ts)
-    jstar = np.einsum("j,jdi,jdk->ik", delta * w, jac, jac)
+    return _PathSample(ts, 0.5 * _neighbour_spans(ts), x, None), theta, jac, weight(ts)
+
+
+def _hessian(sample: _PathSample, jac: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """J* and its condition from free D2F and w on the sample's nodes (see criterion_hessian)."""
+    jstar = np.einsum("j,jdi,jdk->ik", sample.delta * w, jac, jac)
     jstar = 0.5 * (jstar + jstar.T)
     sv = np.linalg.svd(jstar, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else np.inf
@@ -403,9 +407,32 @@ def criterion_hessian(path, model: VectorFieldModel, theta, weight: WeightFuncti
         warnings.warn(
             f"criterion Hessian is numerically singular (condition {cond:.3g})",
             IdentifiabilityWarning,
-            stacklevel=2,
+            stacklevel=3,  # the caller of criterion_hessian
         )
     return jstar, cond
+
+
+def _smooth_integrals(sample: _PathSample, model: VectorFieldModel, theta, jac, w, targets) -> list:
+    """A(t) along the sample's path (see smooth_functional), integrated against each target on the nodes."""
+    ts = sample.nodes
+    d2f_t = np.swapaxes(jac, 1, 2)  # (m, p_free, d)
+    d1f = np.asarray(model.jacobian_state(ts, sample.x, theta), dtype=float)  # (m, d, d)
+    prod = w[:, None, None] * d2f_t  # G(t) = w * D2F'
+    dprod = _neighbour_spans(prod) / _neighbour_spans(ts)[:, None, None]
+    kernel = -w[:, None, None] * np.einsum("jpd,jde->jpe", d2f_t, d1f) - dprod
+    return [np.einsum("j,jpd,jd->p", sample.delta, kernel, target) for target in targets]
+
+
+def criterion_hessian(path, model: VectorFieldModel, theta, weight: WeightFunction, nodes) -> tuple[np.ndarray, float]:
+    """Quadrature of D2F' D2F w along the path, restricted to free parameters.
+
+    Returns the symmetric PSD matrix and its 2-norm condition number; a
+    condition number above 1e10 triggers an IdentifiabilityWarning because the
+    criterion is then locally flat along some parameter direction.  ``nodes``
+    must be a 1-D strictly increasing array of at least 2 points (ValueError).
+    """
+    sample, _, jac, w = _diagnostic_sample(path, model, theta, weight, nodes)
+    return _hessian(sample, jac, w)
 
 
 def smooth_functional(path, model: VectorFieldModel, theta, weight: WeightFunction, nodes, apply_to=None) -> np.ndarray:
@@ -421,26 +448,12 @@ def smooth_functional(path, model: VectorFieldModel, theta, weight: WeightFuncti
     functional applies A to ``apply_to`` (default: the reference path itself)
     and integrates by trapezoid.  Together with the boundary term it gives the
     leading term of the estimator error: theta error ~ J*^{-1} applied to the
-    difference of the functionals at the fitted and true paths.
+    difference of the functionals at the fitted and true paths.  ``nodes`` is
+    checked as in criterion_hessian.
     """
-    ts = np.asarray(nodes, dtype=float)
-    x = _path_values(path, ts)
-    theta = np.asarray(theta, dtype=float)
-    free = model.free_indices
-    d2f_t = np.swapaxes(
-        np.asarray(model.jacobian_param(ts, x, theta), dtype=float)[:, :, free], 1, 2
-    )  # (m, p_free, d)
-    d1f = np.asarray(model.jacobian_state(ts, x, theta), dtype=float)  # (m, d, d)
-    w = weight(ts)
-    prod = w[:, None, None] * d2f_t  # G(t) = w * D2F'
-    dprod = np.empty_like(prod)
-    dprod[1:-1] = (prod[2:] - prod[:-2]) / (ts[2:] - ts[:-2])[:, None, None]
-    dprod[0] = (prod[1] - prod[0]) / (ts[1] - ts[0])
-    dprod[-1] = (prod[-1] - prod[-2]) / (ts[-1] - ts[-2])
-    kernel = -w[:, None, None] * np.einsum("jpd,jde->jpe", d2f_t, d1f) - dprod
-    target = x if apply_to is None else _path_values(apply_to, ts)
-    delta = _trapezoid_weights(ts)
-    return np.einsum("j,jpd,jd->p", delta, kernel, target)
+    sample, theta, jac, w = _diagnostic_sample(path, model, theta, weight, nodes)
+    target = sample.x if apply_to is None else _path_values(apply_to, sample.nodes)
+    return _smooth_integrals(sample, model, theta, jac, w, [target])[0]
 
 
 def boundary_functional(path, model: VectorFieldModel, theta, weight: WeightFunction, apply_to=None) -> np.ndarray:
@@ -475,23 +488,23 @@ def linearization_residual(
     to the fitted and true paths; the result is
     (theta_hat - theta_star)_free - J*^{-1} [delta gamma_s + delta gamma_b].
     Small values confirm the first-order error representation at this sample
-    size.  A singular J* raises IdentifiabilityError.
+    size.  A singular J* raises IdentifiabilityError.  ``nodes`` is checked as
+    in criterion_hessian.
     """
-    ts = np.asarray(nodes, dtype=float)
+    sample, theta_star, jac, w = _diagnostic_sample(truth, model, theta_star, weight, nodes)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IdentifiabilityWarning)
-        jstar, cond = criterion_hessian(truth, model, theta_star, weight, ts)
+        jstar, cond = _hessian(sample, jac, w)
     if not np.isfinite(cond) or cond > 1e12:
         raise IdentifiabilityError(f"J* is singular (condition {cond:.3g})")
-    d_gs = smooth_functional(truth, model, theta_star, weight, ts, apply_to=fit) - smooth_functional(
-        truth, model, theta_star, weight, ts
+    gs_fit, gs_truth = _smooth_integrals(
+        sample, model, theta_star, jac, w, [_path_values(fit, sample.nodes), sample.x]
     )
     d_gb = boundary_functional(truth, model, theta_star, weight, apply_to=fit) - boundary_functional(
         truth, model, theta_star, weight
     )
-    free = model.free_indices
-    delta_theta = (np.asarray(theta_hat, dtype=float) - np.asarray(theta_star, dtype=float))[free]
-    return delta_theta - np.linalg.solve(jstar, d_gs + d_gb)
+    delta_theta = (np.asarray(theta_hat, dtype=float) - theta_star)[model.free_indices]
+    return delta_theta - np.linalg.solve(jstar, gs_fit - gs_truth + d_gb)
 
 
 @dataclass(frozen=True)
@@ -608,14 +621,6 @@ def fit_partially_observed(
         converged=converged,
         iterations=iterations,
     )
-
-
-def _interp_rows(grid, values, t):
-    """Linear interpolation of precomputed path values at scalar or array t."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        return np.array([np.interp(t, grid, values[:, i]) for i in range(values.shape[1])])
-    return np.column_stack([np.interp(t, grid, values[:, i]) for i in range(values.shape[1])])
 
 
 def estimate_report(estimate: TwoStepEstimate) -> dict:

@@ -117,6 +117,7 @@ class ExperimentConfig:
         for w in self.weights:
             if w not in WEIGHT_NAMES:
                 raise ValueError(f"unknown weight {w!r}; choose from {WEIGHT_NAMES}")
+        CriterionConfig(WeightFunction.uniform(self.interval), quad_nodes=self.quad_nodes)  # the criterion's own checks
 
     @property
     def interval(self) -> tuple[float, float]:

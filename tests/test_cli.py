@@ -287,6 +287,11 @@ class TestMonteCarlo:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_quad_nodes_below_the_criterion_minimum_exits_2(self, tmp_path, capsys):
+        config = write_mc_config(tmp_path / "config.json", quad_nodes=10)
+        assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "o"), "--jobs", "2"]) == 2
+        assert "quad_nodes" in capsys.readouterr().err
+
     def test_unknown_key_exits_2(self, tmp_path):
         config = write_mc_config(tmp_path / "config.json", bogus=1)
         assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2

@@ -159,6 +159,17 @@ def noisy_case1_fit(seed=23, n_obs=500, n_knots=20):
     return fit_least_squares(BSplineBasis(knots), ts, y)
 
 
+def logged_param_jacobian(model):
+    """A copy of the model whose jacobian_param logs the row count of each call."""
+    rows = []
+
+    def logged(t, state, theta):
+        rows.append(np.asarray(t).size)
+        return model.jacobian_param(t, state, theta)
+
+    return dataclasses.replace(model, jacobian_param=logged), rows
+
+
 def line_fit(slope, intercept, interval=(0.0, 4.0), n_obs=40):
     """Spline fit that reproduces a straight line exactly (it lies in the space)."""
     ts = np.linspace(interval[0], interval[1], n_obs)
@@ -468,11 +479,11 @@ class TestEstimateFromOneSample:
         theta = est.theta_hat
         nodes, _ = quadrature_grid(fit, config)
         jstar, cond = criterion_hessian(fit, model, theta, w, nodes)
-        assert est.criterion_value == pytest.approx(criterion(fit, model, theta, config), rel=1e-12, abs=0)
-        np.testing.assert_allclose(est.jstar, jstar, rtol=1e-12, atol=0)
-        assert est.jstar_condition == pytest.approx(cond, rel=1e-12, abs=0)
-        np.testing.assert_allclose(est.gamma_s, smooth_functional(fit, model, theta, w, nodes), rtol=1e-12, atol=0)
-        np.testing.assert_allclose(est.gamma_b, boundary_functional(fit, model, theta, w), rtol=1e-12, atol=0)
+        assert est.criterion_value == criterion(fit, model, theta, config)
+        np.testing.assert_array_equal(est.jstar, jstar)
+        assert est.jstar_condition == cond
+        np.testing.assert_array_equal(est.gamma_s, smooth_functional(fit, model, theta, w, nodes))
+        np.testing.assert_array_equal(est.gamma_b, boundary_functional(fit, model, theta, w))
         if weight == "uniform":
             assert np.all(est.gamma_b != 0.0)
 
@@ -505,6 +516,15 @@ class TestEstimateFromOneSample:
             run()
             # one sample of the grid, plus eval_fit at the two endpoints for gamma_b
             assert calls == {"quadrature_grid": 1, "eval_fit": 2, "eval_fit_derivative": 1}, label
+
+    def test_closed_form_evaluates_param_jacobian_once_on_the_grid(self):
+        fit = noisy_case1_fit()
+        config = CriterionConfig(weight=WeightFunction.uniform((0.0, 20.0)))
+        model, rows = logged_param_jacobian(case1_model())
+        fit_linear_in_theta(fit, model, config)
+        nodes, _ = quadrature_grid(fit, config)
+        # J* and gamma_s share one call on the grid; gamma_b takes the two endpoints
+        assert rows == [nodes.size, 2]
 
     def test_nonfinite_path_raises_linear_algebra_error(self):
         fit = noisy_case1_fit()
@@ -554,9 +574,10 @@ class TestCriterionHessian:
         nodes = np.linspace(0.0, 4.0, 501)
         weight = WeightFunction.uniform((0.0, 4.0))
         path = lambda ts: (0.3 * ts + 1.0)[:, None]
-        with pytest.warns(IdentifiabilityWarning):
+        with pytest.warns(IdentifiabilityWarning) as record:
             _, cond = criterion_hessian(path, model, np.zeros(2), weight, nodes)
         assert cond > 1e10
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestSmoothFunctional:
@@ -670,6 +691,41 @@ class TestLinearizationResidual:
             linearization_residual(
                 path, path, model, np.zeros(2), np.zeros(2), weight, nodes
             )
+
+    def test_evaluates_param_jacobian_once_along_the_truth(self):
+        fit, truth = case1_truth_fit(n_knots=20, n_obs=300)
+        model, rows = logged_param_jacobian(case1_model())
+        nodes = np.linspace(0.0, 20.0, 801)
+        weight = WeightFunction.uniform((0.0, 20.0))
+        linearization_residual(fit, truth, model, THETA_CASE1, THETA_CASE1, weight, nodes)
+        # J* and both smooth functionals share one call; each boundary term takes the two endpoints
+        assert rows == [nodes.size, 2, 2]
+
+
+DIAGNOSTICS = {
+    "criterion_hessian": lambda path, model, w, nodes: criterion_hessian(path, model, np.zeros(2), w, nodes),
+    "smooth_functional": lambda path, model, w, nodes: smooth_functional(path, model, np.zeros(2), w, nodes),
+    "linearization_residual": lambda path, model, w, nodes: linearization_residual(
+        path, path, model, np.zeros(2), np.zeros(2), w, nodes
+    ),
+}
+
+BAD_NODES = {
+    "reversed": np.linspace(1.0, 0.0, 101),
+    "single": np.array([0.5]),
+    "repeated": np.array([0.0, 0.5, 0.5, 1.0]),
+    "two-dimensional": np.linspace(0.0, 1.0, 100).reshape(50, 2),
+    "nan": np.array([0.0, np.nan, 1.0]),
+}
+
+
+class TestDiagnosticNodes:
+    @pytest.mark.parametrize("nodes", sorted(BAD_NODES))
+    @pytest.mark.parametrize("name", sorted(DIAGNOSTICS))
+    def test_rejects_nodes_not_strictly_increasing(self, name, nodes):
+        path = lambda ts: np.column_stack([ts, np.cos(ts)])
+        with pytest.raises(ValueError, match="nodes"):
+            DIAGNOSTICS[name](path, constant_field_model(2), WeightFunction.uniform((0.0, 1.0)), BAD_NODES[nodes])
 
 
 def oscillator_fit():

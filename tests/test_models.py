@@ -344,6 +344,20 @@ class TestMatrixExponential:
             matrix_exponential(a), np.diag(np.exp([3.0, -40.0])), rtol=1e-12, atol=1e-25
         )
 
+    def test_matches_scipy_expm(self):
+        expm = pytest.importorskip("scipy.linalg").expm
+        rng = np.random.default_rng(12)
+        squared = 0
+        for case in range(200):
+            size = int(rng.integers(1, 7))
+            a = 10 ** rng.uniform(-2.0, 1.3) * rng.normal(size=(size, size))
+            squared += np.linalg.norm(a, np.inf) > 0.25
+            want = expm(a)
+            np.testing.assert_allclose(
+                matrix_exponential(a), want, rtol=0, atol=1e-10 * np.abs(want).max(), err_msg=str(case)
+            )
+        assert squared > 100  # most cases are scaled down and squared back
+
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidMatrixError):
             matrix_exponential(np.array([[np.inf, 0.0], [0.0, 1.0]]))
