@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -271,11 +273,8 @@ def cmd_mc(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    label = raw.get("label", "experiment")
-
-    tables = []
+    # every n is checked before any replication runs or any output is written
+    configs = []
     for n in raw["n_list"]:
         try:
             config = ExperimentConfig(
@@ -294,18 +293,28 @@ def cmd_mc(args) -> int:
         except (ValueError, KeyError) as err:
             print(f"error: invalid config for n={n}: {err}", file=sys.stderr)
             return EXIT_USAGE
-        try:
-            table = run_experiment(config, n_jobs=args.jobs)
-        except BlowupError as err:
-            print(f"error: simulation failed at n={n}: {err}", file=sys.stderr)
-            return EXIT_SIMULATION
-        except ExperimentError as err:
-            print(f"error: too many failed replications at n={n}: {err}", file=sys.stderr)
-            return EXIT_REPLICATION_FAILURES
-        tables.append(table)
-        print(f"n={n}: done ({table.n_failed} failed replications)")
-        if raw.get("raw_dump", False):
-            write_raw_csv(table, out_dir / f"{label}_raw_n{n}.csv")
+        configs.append(config)
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    label = raw.get("label", "experiment")
+
+    tables = []
+    # one pool serves every n, so its workers keep their caches across the sweep
+    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        for n, config in zip(raw["n_list"], configs):
+            try:
+                table = run_experiment(config, n_jobs=args.jobs, pool=pool)
+            except BlowupError as err:
+                print(f"error: simulation failed at n={n}: {err}", file=sys.stderr)
+                return EXIT_SIMULATION
+            except ExperimentError as err:
+                print(f"error: too many failed replications at n={n}: {err}", file=sys.stderr)
+                return EXIT_REPLICATION_FAILURES
+            tables.append(table)
+            print(f"n={n}: done ({table.n_failed} failed replications)")
+            if raw.get("raw_dump", False):
+                write_raw_csv(table, out_dir / f"{label}_raw_n{n}.csv")
 
     write_summary_csv(tables, out_dir / f"{label}_summary.csv")
     text = summary_text(tables)

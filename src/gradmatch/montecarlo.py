@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,6 +30,7 @@ NOISE_PURPOSE = 1
 KS_PURPOSE = 2
 
 _KS_SEED = 0x4C494C  # fixed internal seed for the normality-test null table
+_KS_BLOCK = 8192  # values per block of the null table; the whole table in one block inflates _phi's object array
 _TRUTH_TOL = 1e-10
 _FINE_GRID = 2001
 _MAX_FAILURE_FRACTION = 0.2
@@ -46,17 +48,20 @@ def substream(master_seed: int, replication: int, purpose: int) -> np.random.Gen
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Box-Muller on uniforms of shape (..., 2, pairs): (..., 2 * pairs) draws, cos/sin interleaved."""
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[..., 0, :]))  # 1 - u in (0, 1] keeps the log finite
+    angle = 2.0 * np.pi * u[..., 1, :]
+    z = np.empty(u.shape[:-2] + (2 * u.shape[-1],))
+    z[..., 0::2] = radius * np.cos(angle)
+    z[..., 1::2] = radius * np.sin(angle)
+    return z
+
+
 def gaussian_draws(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard normal draws via the Box-Muller transform on uniforms."""
     count = int(np.prod(shape))
-    pairs = (count + 1) // 2
-    u1 = 1.0 - rng.random(pairs)  # in (0, 1], keeps the log finite
-    u2 = rng.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty(2 * pairs)
-    z[0::2] = radius * np.cos(2.0 * np.pi * u2)
-    z[1::2] = radius * np.sin(2.0 * np.pi * u2)
-    return z[:count].reshape(shape)
+    return _box_muller(rng.random((2, (count + 1) // 2)))[:count].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -243,13 +248,15 @@ def _phi(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + _erf(z / math.sqrt(2.0)).astype(float))
 
 
-def _lilliefors_statistic(sample: np.ndarray) -> float:
-    n = sample.size
-    z = np.sort((sample - sample.mean()) / sample.std(ddof=1))
+def _lilliefors_statistic(samples: np.ndarray) -> np.ndarray:
+    """The statistic of each sample along the last axis, each standardized by its own moments."""
+    n = samples.shape[-1]
+    centred = samples - samples.mean(axis=-1, keepdims=True)
+    z = np.sort(centred / samples.std(axis=-1, ddof=1, keepdims=True), axis=-1)
     cdf = _phi(z)
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
-    return float(max(upper.max(), lower.max()))
+    return np.maximum(upper.max(axis=-1), lower.max(axis=-1))
 
 
 @lru_cache(maxsize=32)
@@ -257,13 +264,16 @@ def _ks_critical_value(n: int, resamples: int) -> float:
     """95th percentile of the statistic under the estimated-parameter null.
 
     Simulated once per sample size with a fixed internal seed, so decisions
-    are deterministic.
+    are deterministic.  A block of resamples takes its uniforms in one call,
+    in the order one gaussian_draws(rng, n) per resample would.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=[_KS_SEED, n, resamples])))
-    stats = np.empty(resamples)
-    for i in range(resamples):
-        stats[i] = _lilliefors_statistic(gaussian_draws(rng, n))
-    return float(np.quantile(stats, 0.95))
+    rows = max(1, _KS_BLOCK // n)
+    stats = [
+        _lilliefors_statistic(_box_muller(rng.random((min(rows, resamples - start), 2, (n + 1) // 2)))[:, :n])
+        for start in range(0, resamples, rows)
+    ]
+    return float(np.quantile(np.concatenate(stats), 0.95))
 
 
 def ks_normality(samples, resamples: int = 2000) -> KSResult:
@@ -280,7 +290,7 @@ def ks_normality(samples, resamples: int = 2000) -> KSResult:
     # a constant sample has zero variance up to rounding of the mean
     if x.std(ddof=1) <= 1e-12 * max(np.max(np.abs(x)), 1e-300):
         raise DegenerateSampleError("sample has zero variance")
-    stat = _lilliefors_statistic(x)
+    stat = float(_lilliefors_statistic(x))
     crit = _ks_critical_value(x.size, resamples)
     return KSResult(statistic=stat, critical_value=crit, reject=stat > crit, sample_size=x.size)
 
@@ -324,20 +334,23 @@ def _replication_task(args):
     return run_replication(config, idx)
 
 
-def run_experiment(config: ExperimentConfig, n_jobs: int = 1) -> SummaryTable:
+def run_experiment(config: ExperimentConfig, n_jobs: int = 1, pool=None) -> SummaryTable:
     """Run all replications (optionally in parallel) and aggregate.
 
+    With ``pool``, an executor the caller owns (say one ProcessPoolExecutor
+    for a whole sweep over n), the replications run on it and n_jobs sizes
+    the chunks; without it, n_jobs > 1 makes a pool for this call.
     Results are reduced in replication order, so the summary is identical for
-    any n_jobs.  If more than 20% of replications fail, the experiment raises
-    ExperimentError listing the recorded reasons.
+    any n_jobs or pool.  If more than 20% of replications fail, the
+    experiment raises ExperimentError listing the recorded reasons.
     """
     indices = range(config.replications)
-    if n_jobs > 1:
+    if pool is not None or n_jobs > 1:
         # solve the truth here, so forked workers inherit it instead of solving again
         _truth_grids(config)
         chunk = max(1, config.replications // (8 * n_jobs))
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_replication_task, [(config, i) for i in indices], chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=n_jobs) if pool is None else nullcontext(pool) as executor:
+            results = list(executor.map(_replication_task, [(config, i) for i in indices], chunksize=chunk))
     else:
         results = [run_replication(config, i) for i in indices]
     results.sort(key=lambda r: r.rep_index)

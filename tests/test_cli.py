@@ -2,12 +2,15 @@
 
 import csv
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from gradmatch.cli import main
-from gradmatch.errors import ExperimentError
+from gradmatch.errors import BlowupError, ExperimentError
 
 CASE1_THETA = "0,-1.5,1,2,0,-1.5"
 
@@ -273,12 +276,59 @@ class TestMonteCarlo:
         assert len(raw_rows) == 6
 
     def test_job_count_does_not_change_results(self, tmp_path):
-        config = write_mc_config(tmp_path / "config.json")
+        config = write_mc_config(tmp_path / "config.json", n_list=[20, 50], raw_dump=True)
         out1 = tmp_path / "one"
         out2 = tmp_path / "two"
         assert main(["mc", "--config", str(config), "--out-dir", str(out1), "--jobs", "1"]) == 0
         assert main(["mc", "--config", str(config), "--out-dir", str(out2), "--jobs", "2"]) == 0
-        assert (out1 / "t_summary.csv").read_bytes() == (out2 / "t_summary.csv").read_bytes()
+        assert multiprocessing.active_children() == []
+        names = ["t_summary.csv", "t_summary.txt", "t_raw_n20.csv", "t_raw_n50.csv"]
+        assert sorted(p.name for p in out1.iterdir()) == sorted(p.name for p in out2.iterdir()) == sorted(names)
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_one_pool_serves_every_n(self, tmp_path, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit the parent's truth only when forked")
+        import gradmatch.cli as cli
+        import gradmatch.montecarlo as mc
+
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        log = tmp_path / "solver_pids.txt"
+        real = mc.dense_solve
+
+        def logged(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(mc, "dense_solve", logged)
+        mc._truth_solution.cache_clear()
+        mc._truth_grids.cache_clear()
+        try:
+            config = write_mc_config(tmp_path / "config.json", n_list=[20, 50])
+            assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "o"), "--jobs", "2"]) == 0
+        finally:
+            mc._truth_solution.cache_clear()
+            mc._truth_grids.cache_clear()
+        assert pools == [2]
+        assert log.read_text().split() == [str(os.getpid())]
+
+    def test_invalid_later_n_runs_nothing(self, tmp_path, capsys):
+        config = write_mc_config(tmp_path / "config.json", n_list=[50, 5], raw_dump=True)
+        out_dir = tmp_path / "o"
+        assert main(["mc", "--config", str(config), "--out-dir", str(out_dir), "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "n=5" in captured.err and "n=50: done" not in captured.out
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_2(self, tmp_path, jobs, capsys):
@@ -317,7 +367,7 @@ class TestMonteCarlo:
     def test_excessive_failures_exit_5(self, tmp_path, monkeypatch):
         import gradmatch.cli as cli
 
-        def explode(config, n_jobs=1):
+        def explode(config, n_jobs=1, pool=None):
             raise ExperimentError("synthetic failure burst")
 
         monkeypatch.setattr(cli, "run_experiment", explode)
@@ -333,6 +383,28 @@ class TestMonteCarlo:
             x0=[4.0, 2.0],
         )
         assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "o"), "--jobs", jobs]) == 3
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [(BlowupError("synthetic blow-up"), 3), (ExperimentError("synthetic failure burst"), 5)],
+        ids=["blowup", "failures"],
+    )
+    def test_no_worker_outlives_a_failed_run(self, tmp_path, monkeypatch, error, code):
+        import gradmatch.cli as cli
+
+        real = cli.run_experiment
+
+        def second_n_fails(config, n_jobs=1, pool=None):
+            table = real(config, n_jobs=n_jobs, pool=pool)  # the first n starts the workers
+            if config.n == 50:
+                raise error
+            return table
+
+        monkeypatch.setattr(cli, "run_experiment", second_n_fails)
+        config = write_mc_config(tmp_path / "config.json", n_list=[20, 50])
+        assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "o"), "--jobs", "2"]) == code
+        assert multiprocessing.active_children() == []
 
     def test_truth_solved_once_over_all_n(self, tmp_path, monkeypatch):
         import gradmatch.montecarlo as mc

@@ -4,6 +4,7 @@ import csv
 import math
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -89,6 +90,18 @@ class TestStreams:
         a = gaussian_draws(substream(9, 1, 1), (64,))
         b = gaussian_draws(substream(9, 1, 1), (64,))
         np.testing.assert_array_equal(a, b)
+
+    def test_gaussian_draws_equal_the_per_pair_formula(self):
+        for count in (1, 2, 7, 64, 1001):
+            rng = substream(5, count, 1)
+            u1 = 1.0 - rng.random((count + 1) // 2)
+            u2 = rng.random((count + 1) // 2)
+            radius = np.sqrt(-2.0 * np.log(u1))
+            expected = np.empty(2 * u1.size)
+            expected[0::2] = radius * np.cos(2.0 * np.pi * u2)
+            expected[1::2] = radius * np.sin(2.0 * np.pi * u2)
+            got = gaussian_draws(substream(5, count, 1), (count,))
+            assert got.tobytes() == expected[:count].tobytes()
 
     def test_gaussian_draws_moments(self):
         z = gaussian_draws(substream(2024, 0, 1), (100_000,))
@@ -314,6 +327,19 @@ class TestRunExperiment:
                 )
             np.testing.assert_array_equal(serial.curve_rmse_mean, other.curve_rmse_mean)
 
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_caller_pool_of_any_start_method_matches_serial(self, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        config = case1_config(n=50, replications=4)
+        serial = run_experiment(config, n_jobs=1)
+        with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context(method)) as pool:
+            pooled = run_experiment(config, n_jobs=2, pool=pool)
+        assert multiprocessing.active_children() == []
+        for name in config.weights:
+            np.testing.assert_array_equal(serial.weight_summary(name).thetas, pooled.weight_summary(name).thetas)
+        np.testing.assert_array_equal(serial.curve_rmse_mean, pooled.curve_rmse_mean)
+
     def test_single_replication_has_no_spread(self):
         config = case1_config(n=50, replications=1)
         table = run_experiment(config)
@@ -397,7 +423,44 @@ class TestRunExperiment:
         assert rmse_large < rmse_small
 
 
+def _lilliefors_one(sample):
+    """The statistic of one sample, the reference for the row-wise version."""
+    n = sample.size
+    z = np.sort((sample - sample.mean()) / sample.std(ddof=1))
+    cdf = mc._phi(z)
+    upper = np.arange(1, n + 1) / n - cdf
+    lower = cdf - np.arange(0, n) / n
+    return float(max(upper.max(), lower.max()))
+
+
+def _ks_critical_value_per_resample(n, resamples):
+    """The null table drawn one resample at a time, the reference for the blocked draw."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=[mc._KS_SEED, n, resamples])))
+    stats = [_lilliefors_one(gaussian_draws(rng, n)) for _ in range(resamples)]
+    return float(np.quantile(stats, 0.95))
+
+
 class TestKSNormality:
+    def test_rows_equal_the_one_sample_statistic(self):
+        rng = np.random.default_rng(8)
+        for n in (50, 51, 333):
+            samples = 2.0 * rng.standard_normal((7, n)) - 1.0
+            rows = mc._lilliefors_statistic(samples)
+            assert [v.hex() for v in rows.tolist()] == [_lilliefors_one(x).hex() for x in samples]
+            assert ks_normality(samples[0]).statistic.hex() == _lilliefors_one(samples[0]).hex()
+
+    @pytest.mark.parametrize("n, resamples", [(50, 500), (51, 2000), (79, 500), (200, 2000), (1000, 500)])
+    def test_blocked_null_table_equals_the_per_resample_loop(self, n, resamples):
+        blocked = mc._ks_critical_value.__wrapped__(n, resamples)
+        assert blocked.hex() == _ks_critical_value_per_resample(n, resamples).hex()
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("resamples", [500, 2000])
+    def test_blocked_null_table_equals_the_per_resample_loop_over_sizes(self, resamples):
+        for n in [*range(50, 80), 99, 100, 101, 150, 199, 200, 333, 500, 777, 1000]:
+            blocked = mc._ks_critical_value.__wrapped__(n, resamples)
+            assert blocked.hex() == _ks_critical_value_per_resample(n, resamples).hex(), n
+
     def test_normal_sample_rejection_rate_is_calibrated(self):
         rng = np.random.default_rng(99)
         rejections = 0
