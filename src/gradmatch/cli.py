@@ -216,7 +216,7 @@ def cmd_fit(args) -> int:
     )
     config = CriterionConfig(weight=weight)
     try:
-        if model.is_linear_in_params:
+        if model.linear:
             estimate = fit_linear_in_theta(fit, model, config)
         else:
             if args.theta_init is None:
@@ -238,6 +238,15 @@ def cmd_fit(args) -> int:
         write_report(estimate, args.out)
         print(f"report written to {args.out}")
     return EXIT_OK
+
+
+def _integer(value, key: str) -> int:
+    """A config count or seed: an integral JSON number (50.0 reads as 50)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def load_mc_config(path) -> dict:
@@ -282,15 +291,15 @@ def cmd_mc(args) -> int:
                 theta_star=tuple(raw["theta_star"]),
                 fixed=raw.get("fixed", {}),
                 x0=tuple(raw["x0"]),
-                n=int(n),
+                n=_integer(n, "n_list entry"),
                 sigma=raw.get("sigma", 0.2),
                 t_end=raw.get("t_end", 20.0),
                 weights=tuple(raw.get("weights", ("boundary", "uniform"))),
-                replications=int(raw["replications"]),
-                seed=int(raw["seed"]),
-                quad_nodes=int(raw.get("quad_nodes", 1024)),
+                replications=_integer(raw["replications"], "replications"),
+                seed=_integer(raw["seed"], "seed"),
+                quad_nodes=_integer(raw.get("quad_nodes", 1024), "quad_nodes"),
             )
-        except (ValueError, KeyError) as err:
+        except (ValueError, KeyError, TypeError) as err:
             print(f"error: invalid config for n={n}: {err}", file=sys.stderr)
             return EXIT_USAGE
         configs.append(config)

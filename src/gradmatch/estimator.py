@@ -209,11 +209,19 @@ def _name_directions(model: VectorFieldModel, null_vectors: np.ndarray) -> str:
     return "; ".join(parts)
 
 
-def _solve_linear(sample: _PathSample, model: VectorFieldModel, weight: WeightFunction) -> np.ndarray:
-    """Closed-form minimizer of the discretized q = 2 criterion, free entries."""
+def _free_jacobian(model: VectorFieldModel, ts, x, theta) -> np.ndarray:
+    """D2F at (ts, x, theta) restricted to the free parameters, (m, d, p_free)."""
+    return np.asarray(model.jacobian_param(ts, x, theta), dtype=float)[:, :, model.free_indices]
+
+
+def _solve_linear(sample: _PathSample, model: VectorFieldModel, weight: WeightFunction, basis) -> np.ndarray:
+    """Closed-form minimizer of the discretized q = 2 criterion, free entries.
+
+    For a linear model F = D2F theta_free + F(theta_free = 0); ``basis`` is the
+    free D2F on the sample and the field at theta_free = 0 is the offset.
+    """
     scale = np.sqrt(weight(sample.nodes) * sample.delta)
-    basis = np.asarray(model.linear_basis(sample.nodes, sample.x), dtype=float)  # (m, d, p_free)
-    offset = np.asarray(model.linear_offset(sample.nodes, sample.x), dtype=float)  # (m, d)
+    offset = np.asarray(model.field(sample.nodes, sample.x, _assemble_theta(model, 0.0)), dtype=float)
     m, d, p_free = basis.shape
     lhs = (scale[:, None, None] * basis).reshape(m * d, p_free)
     rhs = (scale[:, None] * (sample.xdot - offset)).reshape(m * d)
@@ -235,11 +243,13 @@ def _assemble_theta(model: VectorFieldModel, theta_free: np.ndarray) -> np.ndarr
     return theta
 
 
-def _estimate(fit, sample, model, theta, config, converged, iterations) -> TwoStepEstimate:
-    """Criterion value, its components and the diagnostics at theta, from one sample of the fit."""
+def _estimate(fit, sample, model, theta, jac, config, converged, iterations) -> TwoStepEstimate:
+    """Criterion value, its components and the diagnostics at theta, from one sample of the fit.
+
+    ``jac`` is the free D2F on the sample at theta.
+    """
     if not np.all(np.isfinite(sample.x)):
         raise np.linalg.LinAlgError("fitted path is not finite on the quadrature grid")
-    jac = np.asarray(model.jacobian_param(sample.nodes, sample.x, theta), dtype=float)[:, :, model.free_indices]
     w = config.weight(sample.nodes)
     jstar, cond = _hessian(sample, jac, w)
     (gamma_s,) = _smooth_integrals(sample, model, theta, jac, w, [sample.x])
@@ -320,8 +330,8 @@ def fit_linear_in_theta(fit: SplineFit, model: VectorFieldModel, config: Criteri
     stacked system, which also supplies the rank check.  A rank-deficient
     stack raises IdentifiabilityError naming the unidentified directions.
     """
-    if model.linear_basis is None:
-        raise ValueError("model has no linear-in-parameters decomposition")
+    if not model.linear:
+        raise ValueError("model is not declared linear in its parameters")
     if config.q != 2:
         raise ValueError("closed form requires q = 2")
     return _fit_linear(fit, _sample_path(fit, config), model, config)
@@ -329,8 +339,10 @@ def fit_linear_in_theta(fit: SplineFit, model: VectorFieldModel, config: Criteri
 
 def _fit_linear(fit, sample, model, config) -> TwoStepEstimate:
     """fit_linear_in_theta on a sample of the fit, without the input checks."""
-    theta = _assemble_theta(model, _solve_linear(sample, model, config.weight))
-    return _estimate(fit, sample, model, theta, config, converged=True, iterations=0)
+    # a linear field's D2F does not depend on theta: one evaluation serves the solve, J* and gamma_s
+    jac = _free_jacobian(model, sample.nodes, sample.x, _assemble_theta(model, 0.0))
+    theta = _assemble_theta(model, _solve_linear(sample, model, config.weight, jac))
+    return _estimate(fit, sample, model, theta, jac, config, converged=True, iterations=0)
 
 
 def fit_nonlinear(
@@ -353,15 +365,16 @@ def fit_nonlinear(
         raise ValueError("config is required")
     if config.q != 2:
         raise ValueError("Gauss-Newton fitting requires q = 2")
-    if theta_init is None and model.linear_basis is None:
-        raise ValueError("theta_init is required for models without a linear decomposition")
+    if theta_init is None and not model.linear:
+        raise ValueError("theta_init is required for models not declared linear")
     return _fit_nonlinear(fit, _sample_path(fit, config), model, theta_init, config, max_iter, starts)
 
 
 def _fit_nonlinear(fit, sample, model, theta_init, config, max_iter=200, starts=None) -> TwoStepEstimate:
     """fit_nonlinear on a sample of the fit, without the input checks."""
     if theta_init is None:
-        theta_init = _assemble_theta(model, _solve_linear(sample, model, config.weight))
+        basis = _free_jacobian(model, sample.nodes, sample.x, _assemble_theta(model, 0.0))
+        theta_init = _assemble_theta(model, _solve_linear(sample, model, config.weight, basis))
 
     scale = np.sqrt(config.weight(sample.nodes) * sample.delta)
     free = model.free_indices
@@ -372,8 +385,8 @@ def _fit_nonlinear(fit, sample, model, theta_init, config, max_iter=200, starts=
 
     def jacobian(z, r):
         # the residual is x-hat' - F, so its derivative is -D2F on the free entries
-        jac = np.asarray(model.jacobian_param(sample.nodes, sample.x, _assemble_theta(model, z)), dtype=float)
-        return -(scale[:, None, None] * jac[:, :, free]).reshape(r.size, free.size)
+        jac = _free_jacobian(model, sample.nodes, sample.x, _assemble_theta(model, z))
+        return -(scale[:, None, None] * jac).reshape(r.size, free.size)
 
     def run(theta0):
         z0 = np.asarray(theta0, dtype=float)[free]
@@ -383,7 +396,8 @@ def _fit_nonlinear(fit, sample, model, theta_init, config, max_iter=200, starts=
     candidates = [theta_init] + (list(starts) if starts is not None else [])
     z, _, converged, iterations = min((run(t0) for t0 in candidates), key=lambda item: item[1])
     theta = _assemble_theta(model, z)
-    return _estimate(fit, sample, model, theta, config, converged, iterations)
+    jac = _free_jacobian(model, sample.nodes, sample.x, theta)
+    return _estimate(fit, sample, model, theta, jac, config, converged, iterations)
 
 
 def _diagnostic_sample(path, model: VectorFieldModel, theta, weight: WeightFunction, nodes):
@@ -393,8 +407,8 @@ def _diagnostic_sample(path, model: VectorFieldModel, theta, weight: WeightFunct
         raise ValueError("nodes must be a 1-D strictly increasing array of at least 2 points")
     x = _path_values(path, ts)
     theta = np.asarray(theta, dtype=float)
-    jac = np.asarray(model.jacobian_param(ts, x, theta), dtype=float)[:, :, model.free_indices]
-    return _PathSample(ts, 0.5 * _neighbour_spans(ts), x, None), theta, jac, weight(ts)
+    sample = _PathSample(ts, 0.5 * _neighbour_spans(ts), x, None)
+    return sample, theta, _free_jacobian(model, ts, x, theta), weight(ts)
 
 
 def _hessian(sample: _PathSample, jac: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
@@ -468,7 +482,7 @@ def boundary_functional(path, model: VectorFieldModel, theta, weight: WeightFunc
     x = _path_values(path, ends)
     target = x if apply_to is None else _path_values(apply_to, ends)
     theta = np.asarray(theta, dtype=float)
-    jac = np.asarray(model.jacobian_param(ends, x, theta), dtype=float)[:, :, model.free_indices]
+    jac = _free_jacobian(model, ends, x, theta)
     w_ends = weight(ends)
     return w_ends[1] * jac[1].T @ target[1] - w_ends[0] * jac[0].T @ target[0]
 

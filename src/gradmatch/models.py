@@ -30,9 +30,10 @@ class VectorFieldModel:
     field(t, x, theta) evaluates the right-hand side; jacobian_state and
     jacobian_param are its derivatives in x and theta.  fixed_mask marks
     parameters held fixed during estimation (their values travel inside theta).
-    For fields affine in the free parameters, linear_basis/linear_offset give
-    the exact decomposition field = linear_basis @ theta_free + linear_offset,
-    with the fixed parameter values baked into the offset.
+    linear declares the field affine in theta, so that
+    field(theta) = jacobian_param[..., free] @ theta_free + field(theta_free = 0)
+    with a jacobian_param that does not depend on theta; the closed-form
+    estimator relies on that split.
     """
 
     dim: int
@@ -43,8 +44,7 @@ class VectorFieldModel:
     param_names: tuple[str, ...]
     fixed_mask: np.ndarray = None
     fixed_values: np.ndarray = None
-    linear_basis: Callable = None
-    linear_offset: Callable = None
+    linear: bool = False
 
     def __post_init__(self):
         mask = self.fixed_mask
@@ -70,19 +70,6 @@ class VectorFieldModel:
     def n_free(self) -> int:
         return int(np.sum(~self.fixed_mask))
 
-    @property
-    def is_linear_in_params(self) -> bool:
-        return self.linear_basis is not None
-
-
-def _glv_param_jacobian(state):
-    x = state[..., 0]
-    y = state[..., 1]
-    z = np.zeros_like(x)
-    row0 = np.stack([x * x, x * y, x, z, z, z], axis=-1)
-    row1 = np.stack([z, z, z, x * y, y * y, y], axis=-1)
-    return np.stack([row0, row1], axis=-2)
-
 
 def glv_field(fixed_mask=None, fixed_values=None) -> VectorFieldModel:
     """Generalized Lotka-Volterra model.
@@ -90,15 +77,9 @@ def glv_field(fixed_mask=None, fixed_values=None) -> VectorFieldModel:
         x' = x (a1 x + a2 y + a3)
         y' = y (b1 x + b2 y + b3)
 
-    The field is linear in all six parameters, so the decomposition is exact.
-    fixed_mask marks coordinates excluded from estimation; fixed_values (full
-    length 6, read only at masked positions) bakes their values into the
-    linear offset.
+    The field is linear in all six parameters.  fixed_mask marks coordinates
+    excluded from estimation; fixed_values (full length 6) gives their values.
     """
-    mask = np.zeros(6, dtype=bool) if fixed_mask is None else np.asarray(fixed_mask, dtype=bool)
-    vals = np.zeros(6) if fixed_values is None else np.asarray(fixed_values, dtype=float)
-    free = np.nonzero(~mask)[0]
-    fixed = np.nonzero(mask)[0]
 
     def field(t, state, theta):
         a1, a2, a3, b1, b2, b3 = np.asarray(theta, dtype=float).tolist()
@@ -120,14 +101,13 @@ def glv_field(fixed_mask=None, fixed_values=None) -> VectorFieldModel:
         )
 
     def jacobian_param(t, state, theta):
-        return _glv_param_jacobian(np.asarray(state, dtype=float))
-
-    def linear_basis(t, state):
-        return _glv_param_jacobian(np.asarray(state, dtype=float))[..., :, free]
-
-    def linear_offset(t, state):
-        jac = _glv_param_jacobian(np.asarray(state, dtype=float))
-        return jac[..., :, fixed] @ vals[fixed] if fixed.size else np.zeros(jac.shape[:-1])
+        state = np.asarray(state, dtype=float)
+        x = state[..., 0]
+        y = state[..., 1]
+        z = np.zeros_like(x)
+        row0 = np.stack([x * x, x * y, x, z, z, z], axis=-1)
+        row1 = np.stack([z, z, z, x * y, y * y, y], axis=-1)
+        return np.stack([row0, row1], axis=-2)
 
     return VectorFieldModel(
         dim=2,
@@ -136,10 +116,9 @@ def glv_field(fixed_mask=None, fixed_values=None) -> VectorFieldModel:
         jacobian_state=jacobian_state,
         jacobian_param=jacobian_param,
         param_names=GLV_PARAM_NAMES,
-        fixed_mask=mask,
-        fixed_values=vals,
-        linear_basis=linear_basis,
-        linear_offset=linear_offset,
+        fixed_mask=fixed_mask,
+        fixed_values=fixed_values,
+        linear=True,
     )
 
 
@@ -149,18 +128,6 @@ def damped_linear_field(fixed_mask=None, fixed_values=None) -> VectorFieldModel:
     Doubles as the observed/hidden demo system: observing u alone leaves v as
     a hidden linear block.
     """
-    mask = np.zeros(2, dtype=bool) if fixed_mask is None else np.asarray(fixed_mask, dtype=bool)
-    vals = np.zeros(2) if fixed_values is None else np.asarray(fixed_values, dtype=float)
-    free = np.nonzero(~mask)[0]
-    fixed = np.nonzero(mask)[0]
-
-    def param_jacobian(state):
-        u = state[..., 0]
-        v = state[..., 1]
-        z = np.zeros_like(u)
-        row0 = np.stack([z, z], axis=-1)
-        row1 = np.stack([u, v], axis=-1)
-        return np.stack([row0, row1], axis=-2)
 
     def field(t, state, theta):
         theta = np.asarray(theta, dtype=float)
@@ -179,19 +146,11 @@ def damped_linear_field(fixed_mask=None, fixed_values=None) -> VectorFieldModel:
         )
 
     def jacobian_param(t, state, theta):
-        return param_jacobian(np.asarray(state, dtype=float))
-
-    def linear_basis(t, state):
-        return param_jacobian(np.asarray(state, dtype=float))[..., :, free]
-
-    def linear_offset(t, state):
         state = np.asarray(state, dtype=float)
-        jac = param_jacobian(state)
-        # u' = v carries no parameter, so it lives in the offset
-        base = np.stack([state[..., 1], np.zeros_like(state[..., 1])], axis=-1)
-        if fixed.size:
-            base = base + jac[..., :, fixed] @ vals[fixed]
-        return base
+        u = state[..., 0]
+        v = state[..., 1]
+        z = np.zeros_like(u)
+        return np.stack([np.stack([z, z], axis=-1), np.stack([u, v], axis=-1)], axis=-2)
 
     return VectorFieldModel(
         dim=2,
@@ -200,51 +159,47 @@ def damped_linear_field(fixed_mask=None, fixed_values=None) -> VectorFieldModel:
         jacobian_state=jacobian_state,
         jacobian_param=jacobian_param,
         param_names=("th1", "th2"),
-        fixed_mask=mask,
-        fixed_values=vals,
-        linear_basis=linear_basis,
-        linear_offset=linear_offset,
+        fixed_mask=fixed_mask,
+        fixed_values=fixed_values,
+        linear=True,
     )
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Registry entry: factory plus CLI-facing metadata."""
+    """Registry entry: a model factory under its CLI name, with default fixed parameters."""
 
     name: str
     factory: Callable
-    dim: int
-    param_names: tuple[str, ...]
     default_fixed: dict
+
+    @property
+    def dim(self) -> int:
+        return self.factory().dim
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return self.factory().param_names
 
     def build(self, fixed: dict | None = None) -> VectorFieldModel:
         """Instantiate with fixed parameters given as a name -> value dict."""
         fixed = self.default_fixed if fixed is None else fixed
-        mask = np.zeros(len(self.param_names), dtype=bool)
-        vals = np.zeros(len(self.param_names))
+        names = self.param_names
+        mask = np.zeros(len(names), dtype=bool)
+        vals = np.zeros(len(names))
         for key, val in fixed.items():
-            if key not in self.param_names:
+            if key not in names:
                 raise KeyError(f"unknown parameter {key!r} for model {self.name!r}")
-            idx = self.param_names.index(key)
+            idx = names.index(key)
             mask[idx] = True
             vals[idx] = float(val)
         return self.factory(fixed_mask=mask, fixed_values=vals)
 
 
 MODEL_REGISTRY = {
-    "glv": ModelSpec(
-        name="glv",
-        factory=glv_field,
-        dim=2,
-        param_names=GLV_PARAM_NAMES,
-        default_fixed={"a1": 0.0, "b2": 0.0},
-    ),
+    "glv": ModelSpec(name="glv", factory=glv_field, default_fixed={"a1": 0.0, "b2": 0.0}),
     "custom-linear-partial": ModelSpec(
-        name="custom-linear-partial",
-        factory=damped_linear_field,
-        dim=2,
-        param_names=("th1", "th2"),
-        default_fixed={},
+        name="custom-linear-partial", factory=damped_linear_field, default_fixed={}
     ),
 }
 

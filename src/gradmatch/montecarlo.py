@@ -213,7 +213,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
         sample = _sample_path(fit, crits[config.weights[0]])
         estimates = {}
         for name, crit in crits.items():
-            if model.is_linear_in_params:
+            if model.linear:
                 est = _fit_linear(fit, sample, model, crit)
             else:
                 est = _fit_nonlinear(fit, sample, model, np.asarray(config.theta_star), crit)

@@ -367,13 +367,6 @@ def duplicated_param_model():
         col = g(t, state)
         return np.concatenate([col[..., None], col[..., None]], axis=-1)
 
-    def linear_basis(t, state):
-        col = g(t, state)
-        return np.concatenate([col[..., None], col[..., None]], axis=-1)
-
-    def linear_offset(t, state):
-        return np.zeros(state.shape)
-
     return VectorFieldModel(
         dim=1,
         n_params=2,
@@ -381,8 +374,7 @@ def duplicated_param_model():
         jacobian_state=jacobian_state,
         jacobian_param=jacobian_param,
         param_names=("k1", "k2"),
-        linear_basis=linear_basis,
-        linear_offset=linear_offset,
+        linear=True,
     )
 
 

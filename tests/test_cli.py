@@ -330,6 +330,27 @@ class TestMonteCarlo:
         assert "n=5" in captured.err and "n=50: done" not in captured.out
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"n_list": [None]},
+            {"n_list": [[50]]},
+            {"n_list": [50.7]},
+            {"replications": 2.5},
+            {"seed": 11.5},
+            {"theta_star": 5},
+            {"fixed": [1, 2]},
+            {"weights": 5},
+        ],
+        ids=lambda override: json.dumps(override),
+    )
+    def test_wrongly_typed_value_exits_2(self, tmp_path, override, capsys):
+        config = write_mc_config(tmp_path / "config.json", **override)
+        out_dir = tmp_path / "o"
+        assert main(["mc", "--config", str(config), "--out-dir", str(out_dir)]) == 2
+        assert "error: invalid config" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_2(self, tmp_path, jobs, capsys):
         config = write_mc_config(tmp_path / "config.json")

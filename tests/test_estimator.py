@@ -54,12 +54,6 @@ def constant_field_model(dim):
     def jacobian_param(t, state, theta):
         return np.broadcast_to(eye, state.shape + (dim,)).copy()
 
-    def linear_basis(t, state):
-        return np.broadcast_to(eye, state.shape + (dim,)).copy()
-
-    def linear_offset(t, state):
-        return np.zeros(state.shape)
-
     return VectorFieldModel(
         dim=dim,
         n_params=dim,
@@ -67,8 +61,7 @@ def constant_field_model(dim):
         jacobian_state=jacobian_state,
         jacobian_param=jacobian_param,
         param_names=tuple(f"c{i}" for i in range(dim)),
-        linear_basis=linear_basis,
-        linear_offset=linear_offset,
+        linear=True,
     )
 
 
@@ -114,13 +107,6 @@ def duplicated_param_model():
         col = g(t, state)
         return np.concatenate([col[..., None], col[..., None]], axis=-1)
 
-    def linear_basis(t, state):
-        col = g(t, state)
-        return np.concatenate([col[..., None], col[..., None]], axis=-1)
-
-    def linear_offset(t, state):
-        return np.zeros(state.shape)
-
     return VectorFieldModel(
         dim=1,
         n_params=2,
@@ -128,8 +114,7 @@ def duplicated_param_model():
         jacobian_state=jacobian_state,
         jacobian_param=jacobian_param,
         param_names=("k1", "k2"),
-        linear_basis=linear_basis,
-        linear_offset=linear_offset,
+        linear=True,
     )
 
 
@@ -168,6 +153,39 @@ def logged_param_jacobian(model):
         return model.jacobian_param(t, state, theta)
 
     return dataclasses.replace(model, jacobian_param=logged), rows
+
+
+def glv_decomposition(fixed_mask, fixed_values):
+    """The split field = basis @ theta_free + offset that the glv model used to write by hand."""
+    free = np.nonzero(~fixed_mask)[0]
+    fixed = np.nonzero(fixed_mask)[0]
+
+    def param_jacobian(state):
+        x = state[..., 0]
+        y = state[..., 1]
+        z = np.zeros_like(x)
+        row0 = np.stack([x * x, x * y, x, z, z, z], axis=-1)
+        row1 = np.stack([z, z, z, x * y, y * y, y], axis=-1)
+        return np.stack([row0, row1], axis=-2)
+
+    def linear_basis(t, state):
+        return param_jacobian(np.asarray(state, dtype=float))[..., :, free]
+
+    def linear_offset(t, state):
+        jac = param_jacobian(np.asarray(state, dtype=float))
+        return jac[..., :, fixed] @ fixed_values[fixed] if fixed.size else np.zeros(jac.shape[:-1])
+
+    return linear_basis, linear_offset
+
+
+def svd_solve(nodes, delta, xdot, weight, basis, offset):
+    """The SVD solve of the sqrt(w * delta)-scaled stacked system, full rank."""
+    scale = np.sqrt(weight(nodes) * delta)
+    m, d, p_free = basis.shape
+    lhs = (scale[:, None, None] * basis).reshape(m * d, p_free)
+    rhs = (scale[:, None] * (xdot - offset)).reshape(m * d)
+    u, sv, vt = np.linalg.svd(lhs, full_matrices=False)
+    return vt.T @ ((u.T @ rhs) / sv)
 
 
 def line_fit(slope, intercept, interval=(0.0, 4.0), n_obs=40):
@@ -311,8 +329,9 @@ class TestFitLinear:
 
         x = eval_fit(fit, nodes)
         xdot = eval_fit_derivative(fit, nodes)
-        basis = model.linear_basis(nodes, x)
-        offset = model.linear_offset(nodes, x)
+        # the affine split F = D2F theta_free + F(theta_free = 0)
+        basis = model.jacobian_param(nodes, x, THETA_CASE1)[:, :, model.free_indices]
+        offset = model.field(nodes, x, THETA_CASE1 * CASE1_MASK)
         p = basis.shape[-1]
         normal = np.zeros((p, p))
         rhs = np.zeros(p)
@@ -324,6 +343,33 @@ class TestFitLinear:
 
         est = fit_linear_in_theta(fit, model, config)
         np.testing.assert_allclose(est.theta_hat[model.free_indices], oracle, atol=1e-8)
+
+    @pytest.mark.parametrize("weight", ["boundary", "uniform"])
+    @pytest.mark.parametrize("design", ["cycle", "damped"])
+    def test_equals_the_hand_written_decomposition_bytewise(self, design, weight):
+        # the cycle and damped designs of configs/full_case1.json and full_case2.json
+        theta_star, x0 = {
+            "cycle": (THETA_CASE1, [1.0, 2.0]),
+            "damped": (np.array([0.0, -1.5, 1.0, 1.5, -1.0, -1.5]), [4.0, 2.0]),
+        }[design]
+        model = glv_field(fixed_mask=CASE1_MASK, fixed_values=theta_star * CASE1_MASK)
+        rng = np.random.default_rng(5)
+        ts = np.linspace(0.0, 20.0, 500)
+        truth = integrate(model, theta_star, np.array(x0), ts, tol=1e-10)
+        y = truth.states + 0.2 * rng.standard_normal(truth.states.shape)
+        knots = KnotSequence((0.0, 20.0), tuple(np.linspace(0.0, 20.0, 22)[1:-1]), order=4)
+        fit = fit_least_squares(BSplineBasis(knots), ts, y)
+        interval = (0.0, 20.0)
+        w = WeightFunction.boundary_vanishing(interval) if weight == "boundary" else WeightFunction.uniform(interval)
+        config = CriterionConfig(weight=w)
+
+        est = fit_linear_in_theta(fit, model, config)
+        nodes, delta = quadrature_grid(fit, config)
+        x = estimator.eval_fit(fit, nodes)
+        basis, offset = (f(nodes, x) for f in glv_decomposition(model.fixed_mask, model.fixed_values))
+        oracle = svd_solve(nodes, delta, estimator.eval_fit_derivative(fit, nodes), w, basis, offset)
+        assert est.theta_hat[model.free_indices].tobytes() == oracle.tobytes()
+        assert est.theta_hat[CASE1_MASK].tobytes() == theta_star[CASE1_MASK].tobytes()
 
     def test_answer_ignores_spline_changes_where_weight_vanishes(self):
         # weight identically zero on [0, 1] and [19, 20]

@@ -133,20 +133,6 @@ class TestGLVField:
         np.testing.assert_allclose(jac[0], [x * x, x * y, x, 0.0, 0.0, 0.0])
         np.testing.assert_allclose(jac[1], [0.0, 0.0, 0.0, x * y, y * y, y])
 
-    def test_linear_decomposition_exact(self):
-        # field == basis @ theta_free + offset for any theta matching the mask
-        mask = np.array([True, False, False, False, True, False])
-        fixed_values = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-        model = glv_field(mask, fixed_values)
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            x = rng.uniform(0.1, 5.0, 2)
-            theta = rng.normal(size=6)
-            theta[mask] = fixed_values[mask]
-            direct = model.field(0.0, x, theta)
-            recomposed = model.linear_basis(0.0, x) @ theta[~mask] + model.linear_offset(0.0, x)
-            np.testing.assert_allclose(recomposed, direct, atol=1e-12)
-
     def test_free_indices(self):
         mask = np.array([True, False, False, False, True, False])
         model = glv_field(mask)
@@ -162,6 +148,30 @@ class TestGLVField:
         with pytest.raises(KeyError):
             spec.build({"nope": 1.0})
         assert set(MODEL_REGISTRY) == {"glv", "custom-linear-partial"}
+        # the entry reads its dimension and names from the model its factory builds
+        assert (spec.dim, spec.param_names) == (2, ("a1", "a2", "a3", "b1", "b2", "b3"))
+        assert get_model_spec("custom-linear-partial").param_names == ("th1", "th2")
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+def test_registered_field_is_affine_in_its_free_parameters(name):
+    # the closed form solves with F = D2F[..., free] @ theta_free + F(theta_free = 0)
+    factory = MODEL_REGISTRY[name].factory
+    n_params = factory().n_params
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        mask = rng.random(n_params) < 0.4
+        values = np.where(mask, rng.normal(size=n_params), 0.0)
+        model = factory(fixed_mask=mask, fixed_values=values)
+        assert model.linear
+        ts = rng.uniform(0.0, 20.0, 7)
+        states = rng.uniform(-3.0, 3.0, size=(7, model.dim))
+        theta = np.where(mask, values, rng.normal(size=n_params))
+        jac = model.jacobian_param(ts, states, theta)
+        # declared linear, so D2F does not depend on theta
+        np.testing.assert_array_equal(jac, model.jacobian_param(ts, states, rng.normal(size=n_params)))
+        recomposed = jac[:, :, model.free_indices] @ theta[~mask] + model.field(ts, states, values)
+        np.testing.assert_allclose(recomposed, model.field(ts, states, theta), rtol=0, atol=1e-12)
 
 
 class TestDampedLinearField:
@@ -181,16 +191,6 @@ class TestDampedLinearField:
                 numeric_jacobian(lambda th: model.field(0.0, x, th), theta),
                 atol=1e-6,
             )
-
-    def test_linear_decomposition(self):
-        model = damped_linear_field()
-        x = np.array([1.5, -0.5])
-        theta = np.array([-4.0, -0.3])
-        np.testing.assert_allclose(
-            model.linear_basis(0.0, x) @ theta + model.linear_offset(0.0, x),
-            model.field(0.0, x, theta),
-            atol=1e-14,
-        )
 
 
 class TestIntegrate:
