@@ -133,9 +133,6 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    if len(x0) != spec.dim:
-        print(f"error: --x0 needs {spec.dim} values for model {args.model!r}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         config = ExperimentConfig(
             model=args.model,

@@ -12,15 +12,19 @@ therefore reduces [B_grid | Y] to its R factor once per search and scores
 every trial on that factor, at a cost that does not depend on the sample
 size.  Dropping knot xi from S constrains the jump of the
 (order - 1)-th derivative at xi to zero; adding xi to S adds the direction of
-the truncated power (t - xi)_+^(order - 1).  Each sweep is scored in one batch
-from a thin QR of R_B T_S.  `gcv_score` stays the definition: it scores any
-sweep whose small factor is rank-deficient, and the chosen subset.
+the truncated power (t - xi)_+^(order - 1).  The walk carries one orthonormal
+basis q = R_B C of span(R_B T_S), with C the grid coefficients of its
+functions.  It is factored from T_S once per search and then updated per
+accepted move: a drop by one Householder reflection, an add by one
+Gram-Schmidt column.  Each sweep is scored in one batch from q and C.
+`gcv_score` stays the definition: it scores any sweep whose subset is
+rank-deficient, and the chosen subset.  A move from such a subset factors
+its successor afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -137,28 +141,33 @@ def _subset_score(times, ys, subset, order, interval):
 
 
 @dataclass(frozen=True)
-class _LeastSquares:
-    """Least squares of R_Y on the columns of R_B T_S, by thin QR."""
+class _Basis:
+    """An orthonormal basis q = R_B C of span(R_B T_S), and R_Y's fit on it.
+
+    coef is C, the grid coefficients of the basis functions.
+    """
 
     q: np.ndarray
-    r: np.ndarray
+    coef: np.ndarray
     qty: np.ndarray
     resid: np.ndarray
     rss: np.ndarray
 
 
+@dataclass(frozen=True)
 class _Subset:
-    """A knot subset of the grid (sorted indices) and its refinement matrix T_S."""
+    """A knot subset of the grid (sorted indices) and its basis; fit is None if it is rank-deficient."""
 
-    def __init__(self, space: _NestedSpace, idx: list):
-        self.space = space
-        self.idx = idx
-        self.refine = space.refinement(idx)
+    idx: list
+    fit: _Basis | None
 
-    @cached_property
-    def fit(self) -> _LeastSquares | None:
-        """The subset's fit on the grid's R factor; None if it is rank-deficient."""
-        return self.space.least_squares(self.refine)
+
+def _orthogonalize(q, g):
+    """g made orthogonal to the columns of q, and its coefficients a on them: g = h + q a."""
+    a = q.T @ g
+    h = g - q @ a
+    a2 = q.T @ h  # a second pass keeps h orthogonal to rounding level
+    return h - q @ a2, a + a2
 
 
 class _NestedSpace:
@@ -184,26 +193,66 @@ class _NestedSpace:
         # values there of any spline in the grid's space give its grid coefficients
         self.sites = np.lib.stride_tricks.sliding_window_view(basis.augmented[1:-1], order - 1).mean(axis=1)
         self.collocate = np.linalg.inv(eval_basis(basis, self.sites))
-        powers = truncated_power_design(interval, grid, order, self.sites)[:, order:]
-        self.directions = self.rb @ self.collocate @ powers
+        # column j: grid coefficients of the truncated power at grid[j]
+        self.powers = self.collocate @ truncated_power_design(interval, grid, order, self.sites)[:, order:]
+        self.directions = self.rb @ self.powers
 
     def refinement(self, idx) -> np.ndarray:
         """T_S, with B_S = B_grid T_S: the grid coefficients of each B-spline of S."""
         basis = BSplineBasis(KnotSequence(self.interval, tuple(self.grid[idx]), self.order))
         return self.collocate @ eval_basis(basis, self.sites)
 
-    def least_squares(self, refine) -> _LeastSquares | None:
-        """Fit on the columns of R_B T_S, or None if they are rank-deficient at SV_CUTOFF.
+    def _fit(self, q, coef) -> _Basis:
+        qty = q.T @ self.ry
+        resid = self.ry - q @ qty
+        return _Basis(q, coef, qty, resid, np.sum(resid**2, axis=0))
 
-        B_S = Q R_B T_S with Q orthonormal, so both share singular values.
+    def factor(self, idx: list) -> _Subset:
+        """S = idx with its basis from a thin QR q r of R_B T_S, and C = T_S r^-1.
+
+        fit is None if R_B T_S is rank-deficient at SV_CUTOFF.  B_S = Q R_B T_S
+        with Q orthonormal, so both share singular values.
         """
+        refine = self.refinement(idx)
         q, r = np.linalg.qr(self.rb @ refine)
         sv = np.linalg.svd(r, compute_uv=False)
         if sv.size < refine.shape[1] or sv[-1] <= splines.SV_CUTOFF * sv[0]:
-            return None
-        qty = q.T @ self.ry
-        resid = self.ry - q @ qty
-        return _LeastSquares(q, r, qty, resid, np.sum(resid**2, axis=0))
+            return _Subset(idx, None)
+        return _Subset(idx, self._fit(q, np.linalg.solve(r.T, refine.T).T))
+
+    def drop(self, subset: _Subset, pos: int) -> _Subset:
+        """S without its pos-th knot xi: the null space of the jump row J_xi C.
+
+        The Householder reflection H that maps J_xi C to a multiple of e_1
+        leaves that null space to the columns of q H and C H after the first.
+        """
+        idx = subset.idx[:pos] + subset.idx[pos + 1 :]
+        fit = subset.fit
+        if fit is None:
+            return self.factor(idx)
+        v = self.jumps[subset.idx[pos]] @ fit.coef
+        v[0] += np.copysign(np.linalg.norm(v), v[0])
+        v *= np.sqrt(2.0) / np.linalg.norm(v)  # H = I - v v'
+        q, coef = (a[:, 1:] - np.outer(a @ v, v[1:]) for a in (fit.q, fit.coef))
+        return _Subset(idx, self._fit(q, coef))
+
+    def add(self, subset: _Subset, j: int) -> _Subset:
+        """S plus knot j: q gains the column h_j / |h_j| of add_scores, C its grid coefficients.
+
+        A direction that add_scores would find rank-deficient refactors afresh.
+        """
+        idx = sorted(subset.idx + [j])
+        fit = subset.fit
+        if fit is None:
+            return self.factor(idx)
+        g = self.directions[:, j]
+        h, a = _orthogonalize(fit.q, g)
+        norm = np.linalg.norm(h)
+        if norm**2 <= splines.SV_CUTOFF * (g @ g):
+            return self.factor(idx)
+        q = np.column_stack((fit.q, h / norm))
+        coef = np.column_stack((fit.coef, (self.powers[:, j] - fit.coef @ a) / norm))
+        return _Subset(idx, self._fit(q, coef))
 
     def _gcv(self, rss, num_knots):
         return np.sum(rss / self.n, axis=-1) / (1.0 - effective_params(num_knots) / self.n) ** 2
@@ -212,7 +261,7 @@ class _NestedSpace:
         """Scores of the trial subsets of m = num_knots knots each.
 
         +inf when 3m + 1 >= n; else nested(subset.fit); else, when the
-        subset's fit is rank-deficient or nested returns None, gcv_score.
+        subset is rank-deficient or nested returns None, gcv_score.
         """
         self.trials += len(trials)
         if effective_params(num_knots) >= self.n:
@@ -232,12 +281,12 @@ class _NestedSpace:
     def drop_scores(self, subset: _Subset) -> np.ndarray:
         """Scores of S without its pos-th knot, for every pos.
 
-        The RSS rises by (J c)^2 / |R_S^-T J'|^2, with J the jump row at the knot.
+        The RSS rises by (w' q'R_Y)^2 / |w|^2, with w' = J C and J the jump row at the knot.
         """
         idx = subset.idx
 
         def nested(fit):
-            w = np.linalg.solve(fit.r.T, (self.jumps[idx] @ subset.refine).T)
+            w = (self.jumps[idx] @ fit.coef).T
             rise = (w.T @ fit.qty) ** 2 / np.sum(w**2, axis=0)[:, None]
             return self._gcv(fit.rss + rise, len(idx) - 1)
 
@@ -255,8 +304,7 @@ class _NestedSpace:
 
         def nested(fit):
             g = self.directions[:, pool]
-            h = g - fit.q @ (fit.q.T @ g)
-            h -= fit.q @ (fit.q.T @ h)  # a second pass keeps h orthogonal to rounding level
+            h, _ = _orthogonalize(fit.q, g)
             hh = np.sum(h**2, axis=0)
             if np.any(hh <= splines.SV_CUTOFF * np.sum(g**2, axis=0)):
                 return None
@@ -285,7 +333,7 @@ def elim_add(times, y, interval, candidate_count: int, order: int = 4, max_sweep
         ys = ys[:, None]
     grid = uniform_knots(interval, candidate_count)
     space = _NestedSpace(ts, ys, interval, grid, order)
-    current = _Subset(space, list(range(candidate_count)))
+    current = space.factor(list(range(candidate_count)))
     current_score = space.score(current)
     best_subset, best_score = current.idx, current_score
 
@@ -298,7 +346,7 @@ def elim_add(times, y, interval, candidate_count: int, order: int = 4, max_sweep
             pos = int(np.argmin(scores))  # first minimum; all +inf still shrinks at 0
             forced = not np.isfinite(current_score)
             if forced or scores[pos] < current_score:
-                current = _Subset(space, current.idx[:pos] + current.idx[pos + 1 :])
+                current = space.drop(current, pos)
                 current_score = float(scores[pos])
                 changed = True
                 if current_score < best_score:
@@ -313,7 +361,7 @@ def elim_add(times, y, interval, candidate_count: int, order: int = 4, max_sweep
             scores = space.add_scores(current, pool)
             pos = int(np.argmin(scores))
             if scores[pos] < current_score:
-                current = _Subset(space, sorted(current.idx + [pool[pos]]))
+                current = space.add(current, pool[pos])
                 current_score = float(scores[pos])
                 changed = True
                 if current_score < best_score:

@@ -101,6 +101,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"theta_star needs {len(spec.param_names)} entries for model {self.model!r}"
             )
+        if len(self.x0) != spec.dim:
+            raise ValueError(f"x0 needs {spec.dim} entries for model {self.model!r}")
         for name, value in fixed:
             if name not in spec.param_names:
                 raise ValueError(f"unknown fixed parameter {name!r} for model {self.model!r}")
@@ -117,6 +119,8 @@ class ExperimentConfig:
             raise ValueError("t_end must be positive")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.weights:
             raise ValueError("need at least one weight variant")
         for w in self.weights:

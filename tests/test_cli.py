@@ -97,6 +97,12 @@ class TestSimulate:
     def test_wrong_theta_length_exits_2(self, tmp_path):
         assert main(simulate_args(tmp_path / "x.csv", theta="1,2,3")) == 2
 
+    @pytest.mark.parametrize("x0", ["1", "1,2,3"])
+    def test_wrong_x0_length_exits_2(self, tmp_path, x0, capsys):
+        assert main(simulate_args(tmp_path / "x.csv", x0=x0)) == 2
+        assert "x0 needs 2 entries" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_blowup_exits_3(self, tmp_path):
         # positive quadratic self-coupling in the second dimension escapes in
         # finite time from this start, well before t_end
@@ -345,6 +351,18 @@ class TestMonteCarlo:
         ids=lambda override: json.dumps(override),
     )
     def test_wrongly_typed_value_exits_2(self, tmp_path, override, capsys):
+        config = write_mc_config(tmp_path / "config.json", **override)
+        out_dir = tmp_path / "o"
+        assert main(["mc", "--config", str(config), "--out-dir", str(out_dir)]) == 2
+        assert "error: invalid config" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"seed": -1}, {"x0": [1.0]}, {"x0": [1.0, 2.0, 3.0]}],
+        ids=lambda override: json.dumps(override),
+    )
+    def test_out_of_range_value_exits_2(self, tmp_path, override, capsys):
         config = write_mc_config(tmp_path / "config.json", **override)
         out_dir = tmp_path / "o"
         assert main(["mc", "--config", str(config), "--out-dir", str(out_dir)]) == 2

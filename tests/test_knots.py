@@ -258,7 +258,7 @@ def nested_case(rng, n, order, dims, candidate_count):
     space = knots._NestedSpace(times, y, interval, grid, order)
     size = rng.integers(1, min(candidate_count, (n - 5) // 3))
     idx = sorted(int(j) for j in rng.choice(candidate_count, size, replace=False))
-    return times, y, interval, grid, space, knots._Subset(space, idx)
+    return times, y, interval, grid, space, space.factor(idx)
 
 
 class TestNestedSpace:
@@ -270,7 +270,7 @@ class TestNestedSpace:
         times, _, interval, grid, space, subset = nested_case(rng, 60, order, 1, 12)
         full = design_matrix(BSplineBasis(KnotSequence(interval, tuple(grid), order)), times)
         part = design_matrix(BSplineBasis(KnotSequence(interval, tuple(grid[subset.idx]), order)), times)
-        np.testing.assert_allclose(full @ subset.refine, part, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(full @ space.refinement(subset.idx), part, rtol=0, atol=1e-13)
         np.testing.assert_allclose(space.refinement(list(range(grid.size))), np.eye(grid.size + order), atol=1e-14)
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
@@ -303,6 +303,86 @@ class TestNestedSpace:
             assert space.score(subset) == pytest.approx(gcv_score(times, y_in, grid[idx], order, interval), rel=1e-10)
 
 
+def walked_case(rng, n, order, dims, candidate_count, moves=40):
+    """A nested_case subset moved by random drops and adds, its basis updated at each move.
+
+    Returns the case and the numbers of drops, adds and fresh factorizations made.
+    """
+    times, y, interval, grid, space, subset = nested_case(rng, n, order, dims, candidate_count)
+    calls = []
+    refinement = space.refinement
+    space.refinement = lambda idx: calls.append(idx) or refinement(idx)
+    room = min(candidate_count, (n - 5) // 3)
+    drops = adds = 0
+    for _ in range(moves):
+        pool = [j for j in range(candidate_count) if j not in subset.idx]
+        if len(subset.idx) > 1 and (len(subset.idx) + 1 >= room or rng.random() < 0.5):
+            subset = space.drop(subset, int(rng.integers(len(subset.idx))))
+            drops += 1
+        else:
+            subset = space.add(subset, int(rng.choice(pool)))
+            adds += 1
+    return (times, y, interval, grid, space, subset), drops, adds, len(calls)
+
+
+class TestCarriedBasis:
+    """The basis the walk updates per knot move, against a fresh factorization.
+
+    An add's new column carries a relative rounding error of about eps |g_j| / |h_j|:
+    the truncated power g_j is mostly in the span already.  So R_B C - q and the
+    distance to the fresh span reach about 1e-11 after a walk, while q stays
+    orthonormal to rounding level.
+    """
+
+    @pytest.mark.parametrize("n", [60, 500])
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_updates_keep_basis_orthonormal_and_in_grid_coefficients(self, order, n):
+        rng = np.random.default_rng(7000 + 10 * order + n)
+        (_, _, _, _, space, subset), drops, adds, refactored = walked_case(rng, n, order, 2, {60: 15, 500: 30}[n])
+        assert drops >= 15 and adds >= 15 and refactored == 0
+        q, coef = subset.fit.q, subset.fit.coef
+        assert q.shape[1] == len(subset.idx) + order
+        assert np.linalg.norm(q.T @ q - np.eye(q.shape[1]), 2) <= 1e-12
+        assert np.linalg.norm(space.rb @ coef - q, 2) <= 1e-10
+        # the span of the subset's own B-splines
+        fresh = space.factor(subset.idx).fit.q
+        assert np.linalg.norm(fresh - q @ (q.T @ fresh), 2) <= 1e-10
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("n", [60, 500])
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_scores_after_updates_match_gcv_score(self, order, n, dims):
+        rng = np.random.default_rng(8000 + 100 * order + n + dims)
+        candidates = {60: 15, 500: 30}[n]
+        (times, y, interval, grid, space, subset), _, _, refactored = walked_case(rng, n, order, dims, candidates)
+        assert refactored == 0
+        y_in = y[:, 0] if dims == 1 else y
+        idx = subset.idx
+        want = [gcv_score(times, y_in, grid[idx[:p] + idx[p + 1 :]], order, interval) for p in range(len(idx))]
+        np.testing.assert_allclose(space.drop_scores(subset), want, rtol=1e-10, atol=0)
+        pool = [j for j in range(candidates) if j not in idx]
+        want = [gcv_score(times, y_in, grid[sorted(idx + [j])], order, interval) for j in pool]
+        np.testing.assert_allclose(space.add_scores(subset, pool), want, rtol=1e-10, atol=0)
+        assert space.score(subset) == pytest.approx(gcv_score(times, y_in, grid[idx], order, interval), rel=1e-10)
+
+    def test_moves_that_cannot_update_factor_afresh(self):
+        # no observations beyond 0.88, so the direction of the last candidate, 0.9, vanishes on the data
+        times = np.linspace(0.0, 0.88, 70)
+        space = knots._NestedSpace(times, np.cos(4 * times)[:, None], (0.0, 1.0), uniform_knots((0.0, 1.0), 9), 4)
+        calls = []
+        refinement = space.refinement
+        space.refinement = lambda idx: calls.append(idx) or refinement(idx)
+        start = space.factor(list(range(8)))
+        assert start.fit is not None
+        full = space.add(start, 8)
+        assert full.fit is None and calls[-1] == list(range(9))
+        # a move away from a rank-deficient subset factors its successor
+        dropped = space.drop(full, 3)
+        assert dropped.fit is None and calls[-1] == [0, 1, 2, 4, 5, 6, 7, 8]
+        assert space.add(dropped, 3).fit is None and calls[-1] == list(range(9))
+        assert len(calls) == 4
+
+
 class TestMatchesReferenceWalk:
     @pytest.mark.parametrize("n", [20, 50, 200, 1000])
     @pytest.mark.parametrize("design", [CYCLE, DAMPED], ids=["cycle", "damped"])
@@ -312,6 +392,23 @@ class TestMatchesReferenceWalk:
         for rep, times, ys, interval in study_datasets(design, n, 10):
             count = default_knot_count(n)
             assert elim_add(times, ys, interval, count) == reference_elim_add(times, ys, interval, count), rep
+
+    @pytest.mark.parametrize("n", [20, 50, 200, 1000])
+    @pytest.mark.parametrize("design", [CYCLE, DAMPED], ids=["cycle", "damped"])
+    def test_one_factorization_per_search(self, design, n, monkeypatch):
+        # every accepted move updates the carried basis; none refactors
+        counts = {"refinement": 0, "factor": 0}
+        for name in counts:
+            real = getattr(knots._NestedSpace, name)
+
+            def counted(self, arg, name=name, real=real):
+                counts[name] += 1
+                return real(self, arg)
+
+            monkeypatch.setattr(knots._NestedSpace, name, counted)
+        for rep, times, ys, interval in study_datasets(design, n, 10):
+            elim_add(times, ys, interval, default_knot_count(n))
+            assert counts == {"refinement": rep + 1, "factor": rep + 1}, rep
 
     @pytest.mark.parametrize(
         "times",
@@ -356,6 +453,19 @@ def test_knots_equal_reference_on_acceptance_studies():
                 want = reference_elim_add(times, ys, interval, count)
                 if got.selected_knots != want.selected_knots or got.gcv_value != want.gcv_value:
                     flips.append((name, n, rep, got.gcv_value, want.gcv_value))
+    assert not flips, flips
+
+
+@pytest.mark.slow
+def test_knots_equal_reference_on_fine_grid():
+    # 60 candidates at n = 1000: 100 replications of each design
+    flips = []
+    for design, name in ((CYCLE, "cycle"), (DAMPED, "damped")):
+        for rep, times, ys, interval in study_datasets(design, 1000, 100):
+            got = elim_add(times, ys, interval, 60)
+            want = reference_elim_add(times, ys, interval, 60)
+            if got.selected_knots != want.selected_knots or got.gcv_value != want.gcv_value:
+                flips.append((name, rep, got.gcv_value, want.gcv_value))
     assert not flips, flips
 
 

@@ -136,6 +136,11 @@ class TestExperimentConfig:
             case1_config(weights=("boundary", "nope"))
         with pytest.raises(ValueError):
             case1_config(theta_star=(1.0, 2.0))
+        with pytest.raises(ValueError):
+            case1_config(seed=-1)
+        for x0 in ((1.0,), (1.0, 2.0, 3.0)):
+            with pytest.raises(ValueError):
+                case1_config(x0=x0)
 
     def test_interval_and_model_construction(self):
         config = case1_config(t_end=12.0)
