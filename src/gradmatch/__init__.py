@@ -36,7 +36,6 @@ from .splines import (
     eval_fit_derivative,
     fit_least_squares,
     functional_variance,
-    gram_matrices,
     pointwise_variance,
     truncated_power_design,
 )

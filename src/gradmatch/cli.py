@@ -181,9 +181,7 @@ def cmd_fit(args) -> int:
     interval = (float(data.times[0]), float(data.times[-1]))
     try:
         if args.knots == "auto":
-            policy = KnotPolicy()
-            selection = select_knots(data.times, data.states, interval, policy)
-            knots = KnotSequence(interval, selection.selected_knots, policy.order)
+            fit = select_knots(data.times, data.states, interval, KnotPolicy()).fit
         else:
             try:
                 count = int(args.knots)
@@ -193,8 +191,7 @@ def cmd_fit(args) -> int:
                 print(f"error: --knots expects 'auto' or an integer >= 0, got {args.knots!r}", file=sys.stderr)
                 return EXIT_USAGE
             interior = tuple(np.linspace(interval[0], interval[1], count + 2)[1:-1])
-            knots = KnotSequence(interval, interior, order=4)
-        fit = fit_least_squares(BSplineBasis(knots), data.times, data.states)
+            fit = fit_least_squares(BSplineBasis(KnotSequence(interval, interior, order=4)), data.times, data.states)
     except (DegreesOfFreedomError, GradMatchError) as err:
         print(f"error: first-step fit failed: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -243,17 +243,19 @@ def _assemble_theta(model: VectorFieldModel, theta_free: np.ndarray) -> np.ndarr
     return theta
 
 
-def _estimate(fit, sample, model, theta, jac, config, converged, iterations) -> TwoStepEstimate:
+def _estimate(sample, model, theta, jac, config, converged, iterations) -> TwoStepEstimate:
     """Criterion value, its components and the diagnostics at theta, from one sample of the fit.
 
-    ``jac`` is the free D2F on the sample at theta.
+    ``jac`` is the free D2F on the sample at theta.  The nodes start at t_lo
+    and end at t_hi, so gamma_b (see boundary_functional) reads the sample's
+    first and last rows, at the fit's ends.
     """
     if not np.all(np.isfinite(sample.x)):
         raise np.linalg.LinAlgError("fitted path is not finite on the quadrature grid")
     w = config.weight(sample.nodes)
     jstar, cond = _hessian(sample, jac, w)
     (gamma_s,) = _smooth_integrals(sample, model, theta, jac, w, [sample.x])
-    gamma_b = boundary_functional(fit, model, theta, config.weight)
+    gamma_b = w[-1] * jac[-1].T @ sample.x[-1] - w[0] * jac[0].T @ sample.x[0]
     value, components = _criterion_parts(sample, model, theta, config)
     return TwoStepEstimate(
         theta_hat=theta,
@@ -334,15 +336,15 @@ def fit_linear_in_theta(fit: SplineFit, model: VectorFieldModel, config: Criteri
         raise ValueError("model is not declared linear in its parameters")
     if config.q != 2:
         raise ValueError("closed form requires q = 2")
-    return _fit_linear(fit, _sample_path(fit, config), model, config)
+    return _fit_linear(_sample_path(fit, config), model, config)
 
 
-def _fit_linear(fit, sample, model, config) -> TwoStepEstimate:
+def _fit_linear(sample, model, config) -> TwoStepEstimate:
     """fit_linear_in_theta on a sample of the fit, without the input checks."""
-    # a linear field's D2F does not depend on theta: one evaluation serves the solve, J* and gamma_s
+    # a linear field's D2F does not depend on theta: one evaluation serves the solve, J*, gamma_s and gamma_b
     jac = _free_jacobian(model, sample.nodes, sample.x, _assemble_theta(model, 0.0))
     theta = _assemble_theta(model, _solve_linear(sample, model, config.weight, jac))
-    return _estimate(fit, sample, model, theta, jac, config, converged=True, iterations=0)
+    return _estimate(sample, model, theta, jac, config, converged=True, iterations=0)
 
 
 def fit_nonlinear(
@@ -367,10 +369,10 @@ def fit_nonlinear(
         raise ValueError("Gauss-Newton fitting requires q = 2")
     if theta_init is None and not model.linear:
         raise ValueError("theta_init is required for models not declared linear")
-    return _fit_nonlinear(fit, _sample_path(fit, config), model, theta_init, config, max_iter, starts)
+    return _fit_nonlinear(_sample_path(fit, config), model, theta_init, config, max_iter, starts)
 
 
-def _fit_nonlinear(fit, sample, model, theta_init, config, max_iter=200, starts=None) -> TwoStepEstimate:
+def _fit_nonlinear(sample, model, theta_init, config, max_iter=200, starts=None) -> TwoStepEstimate:
     """fit_nonlinear on a sample of the fit, without the input checks."""
     if theta_init is None:
         basis = _free_jacobian(model, sample.nodes, sample.x, _assemble_theta(model, 0.0))
@@ -397,7 +399,7 @@ def _fit_nonlinear(fit, sample, model, theta_init, config, max_iter=200, starts=
     z, _, converged, iterations = min((run(t0) for t0 in candidates), key=lambda item: item[1])
     theta = _assemble_theta(model, z)
     jac = _free_jacobian(model, sample.nodes, sample.x, theta)
-    return _estimate(fit, sample, model, theta, jac, config, converged, iterations)
+    return _estimate(sample, model, theta, jac, config, converged, iterations)
 
 
 def _diagnostic_sample(path, model: VectorFieldModel, theta, weight: WeightFunction, nodes):
@@ -433,7 +435,11 @@ def _smooth_integrals(sample: _PathSample, model: VectorFieldModel, theta, jac, 
     d1f = np.asarray(model.jacobian_state(ts, sample.x, theta), dtype=float)  # (m, d, d)
     prod = w[:, None, None] * d2f_t  # G(t) = w * D2F'
     dprod = _neighbour_spans(prod) / _neighbour_spans(ts)[:, None, None]
-    kernel = -w[:, None, None] * np.einsum("jpd,jde->jpe", d2f_t, d1f) - dprod
+    # D2F' D1F as a sum over the d state columns: faster than einsum and equal to it bit for bit
+    d2f_d1f = 0.0
+    for k in range(d1f.shape[1]):
+        d2f_d1f = d2f_d1f + d2f_t[:, :, k, None] * d1f[:, None, k, :]
+    kernel = -w[:, None, None] * d2f_d1f - dprod
     return [np.einsum("j,jpd,jd->p", sample.delta, kernel, target) for target in targets]
 
 

@@ -17,14 +17,18 @@ basis q = R_B C of span(R_B T_S), with C the grid coefficients of its
 functions.  It is factored from T_S once per search and then updated per
 accepted move: a drop by one Householder reflection, an add by one
 Gram-Schmidt column.  Each sweep is scored in one batch from q and C.
-`gcv_score` stays the definition: it scores any sweep whose subset is
-rank-deficient, and the chosen subset.  A move from such a subset factors
-its successor afresh.
+`gcv_score` stays the definition and the oracle: it scores any sweep whose
+subset is rank-deficient, and a move from such a subset factors its
+successor afresh.  The chosen subset is solved once on the n rows; that one
+least-squares solve gives both the returned fit and its gcv_value.  The
+grid-only tables (jumps, Greville sites, collocation inverse, truncated
+powers) are built once per grid and shared, read-only, by its searches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +36,7 @@ from .errors import DegreesOfFreedomError, TooFewObservationsError
 from .splines import (
     BSplineBasis,
     KnotSequence,
+    SplineFit,
     design_matrix,
     eval_basis,
     eval_basis_derivative,
@@ -74,7 +79,9 @@ class SelectionResult:
     """Outcome of a knot search: chosen subset, its score, and bookkeeping.
 
     trials counts the knot subsets the search scored; sweeps counts its
-    elimination-and-addition rounds (at most the policy's max_sweeps).
+    elimination-and-addition rounds (at most the policy's max_sweeps).  fit
+    is the least-squares spline on the chosen knots, equal to
+    fit_least_squares there; it is left out of comparisons.
     """
 
     selected_knots: tuple[float, ...]
@@ -83,6 +90,7 @@ class SelectionResult:
     candidates: tuple[float, ...]
     trials: int = 0
     sweeps: int = 0
+    fit: SplineFit | None = field(default=None, compare=False, repr=False)
 
 
 def default_knot_count(n: int) -> int:
@@ -110,6 +118,11 @@ def effective_params(num_knots: int) -> int:
     return 3 * num_knots + 1
 
 
+def _gcv(rss, n: int, num_knots: int):
+    """GCV of the per-dimension RSS (last axis) of m = num_knots knots."""
+    return np.sum(rss / n, axis=-1) / (1.0 - effective_params(num_knots) / n) ** 2
+
+
 def gcv_score(times, y, knot_subset, order: int = 4, interval=None) -> float:
     """GCV score of a knot subset: [(1/n) RSS] / (1 - d/n)^2 summed over dims.
 
@@ -127,10 +140,7 @@ def gcv_score(times, y, knot_subset, order: int = 4, interval=None) -> float:
     if interval is None:
         interval = (float(ts[0]), float(ts[-1]))
     basis = BSplineBasis(KnotSequence(interval, tuple(knot_subset), order))
-    design = design_matrix(basis, ts)
-    coef, _, _, _ = np.linalg.lstsq(design, ys, rcond=splines.SV_CUTOFF)
-    rss = np.sum((ys - design @ coef) ** 2, axis=0)
-    return float(np.sum(rss / n) / (1.0 - d / n) ** 2)
+    return float(_gcv(splines._least_squares(basis, ts, ys)[1], n, len(knot_subset)))
 
 
 def _subset_score(times, ys, subset, order, interval):
@@ -162,6 +172,24 @@ class _Subset:
     fit: _Basis | None
 
 
+@lru_cache(maxsize=16)
+def _grid_tables(basis: BSplineBasis) -> tuple[np.ndarray, ...]:
+    """The read-only tables of a candidate grid's basis: jumps, sites, collocate, powers (see _NestedSpace)."""
+    order = basis.knots.order
+    # the (order-1)-th derivative is constant on each span; row j is its jump at grid[j]
+    bps = basis.knots.breakpoints
+    jumps = np.diff(eval_basis_derivative(basis, 0.5 * (bps[:-1] + bps[1:]), order - 1), axis=0)
+    # B_grid at its Greville sites is square and well conditioned, so the
+    # values there of any spline in the grid's space give its grid coefficients
+    sites = np.lib.stride_tricks.sliding_window_view(basis.augmented[1:-1], order - 1).mean(axis=1)
+    collocate = np.linalg.inv(eval_basis(basis, sites))
+    # column j: grid coefficients of the truncated power at grid[j]
+    powers = collocate @ truncated_power_design(basis.interval, basis.knots.interior_knots, order, sites)[:, order:]
+    for table in (jumps, sites, collocate, powers):
+        table.setflags(write=False)
+    return jumps, sites, collocate, powers
+
+
 def _orthogonalize(q, g):
     """g made orthogonal to the columns of q, and its coefficients a on them: g = h + q a."""
     a = q.T @ g
@@ -185,16 +213,7 @@ class _NestedSpace:
         dim = design.shape[1]
         r = np.linalg.qr(np.hstack((design, ys)), mode="r")
         self.rb, self.ry = r[:, :dim], r[:, dim:]
-        # the (order-1)-th derivative is constant on each span; row j is its jump at grid[j]
-        bps = basis.knots.breakpoints
-        top = eval_basis_derivative(basis, 0.5 * (bps[:-1] + bps[1:]), order - 1)
-        self.jumps = np.diff(top, axis=0)
-        # B_grid at its Greville sites is square and well conditioned, so the
-        # values there of any spline in the grid's space give its grid coefficients
-        self.sites = np.lib.stride_tricks.sliding_window_view(basis.augmented[1:-1], order - 1).mean(axis=1)
-        self.collocate = np.linalg.inv(eval_basis(basis, self.sites))
-        # column j: grid coefficients of the truncated power at grid[j]
-        self.powers = self.collocate @ truncated_power_design(interval, grid, order, self.sites)[:, order:]
+        self.jumps, self.sites, self.collocate, self.powers = _grid_tables(basis)
         self.directions = self.rb @ self.powers
 
     def refinement(self, idx) -> np.ndarray:
@@ -254,9 +273,6 @@ class _NestedSpace:
         coef = np.column_stack((fit.coef, (self.powers[:, j] - fit.coef @ a) / norm))
         return _Subset(idx, self._fit(q, coef))
 
-    def _gcv(self, rss, num_knots):
-        return np.sum(rss / self.n, axis=-1) / (1.0 - effective_params(num_knots) / self.n) ** 2
-
     def _scores(self, subset: _Subset, trials: list, num_knots: int, nested) -> np.ndarray:
         """Scores of the trial subsets of m = num_knots knots each.
 
@@ -276,7 +292,7 @@ class _NestedSpace:
 
     def score(self, subset: _Subset) -> float:
         m = len(subset.idx)
-        return float(self._scores(subset, [subset.idx], m, lambda fit: self._gcv(fit.rss[None, :], m))[0])
+        return float(self._scores(subset, [subset.idx], m, lambda fit: _gcv(fit.rss[None, :], self.n, m))[0])
 
     def drop_scores(self, subset: _Subset) -> np.ndarray:
         """Scores of S without its pos-th knot, for every pos.
@@ -288,7 +304,7 @@ class _NestedSpace:
         def nested(fit):
             w = (self.jumps[idx] @ fit.coef).T
             rise = (w.T @ fit.qty) ** 2 / np.sum(w**2, axis=0)[:, None]
-            return self._gcv(fit.rss + rise, len(idx) - 1)
+            return _gcv(fit.rss + rise, self.n, len(idx) - 1)
 
         return self._scores(subset, [idx[:p] + idx[p + 1 :] for p in range(len(idx))], len(idx) - 1, nested)
 
@@ -309,7 +325,7 @@ class _NestedSpace:
             if np.any(hh <= splines.SV_CUTOFF * np.sum(g**2, axis=0)):
                 return None
             fall = (h.T @ fit.resid) ** 2 / hh[:, None]
-            return self._gcv(fit.rss - fall, len(idx) + 1)
+            return _gcv(fit.rss - fall, self.n, len(idx) + 1)
 
         return self._scores(subset, [sorted(idx + [j]) for j in pool], len(idx) + 1, nested)
 
@@ -325,7 +341,9 @@ def elim_add(times, y, interval, candidate_count: int, order: int = 4, max_sweep
     elimination is forced so the walk always reaches scoreable territory.
     Ties break toward the smaller knot index, so the walk is deterministic.
     Trials are scored in the grid's nested spline space (see the module
-    docstring); the returned gcv_value is gcv_score of the chosen subset.
+    docstring).  The chosen subset is solved once on the n rows: that solve
+    gives the returned fit, equal to fit_least_squares on the chosen knots,
+    and the gcv_value, equal to gcv_score of the chosen subset.
     """
     ts = np.asarray(times, dtype=float)
     ys = np.asarray(y, dtype=float)
@@ -376,29 +394,31 @@ def elim_add(times, y, interval, candidate_count: int, order: int = 4, max_sweep
         raise DegreesOfFreedomError(
             f"no scoreable knot subset for n = {ts.size} and {candidate_count} candidates"
         )
-    chosen = grid[np.asarray(best_subset, dtype=int)]
+    return _selection(ts, ys, interval, grid, best_subset, order, trials=space.trials, sweeps=sweeps)
+
+
+def _selection(ts, ys, interval, grid, idx, order, trials, sweeps=0) -> SelectionResult:
+    """The result for the grid knots idx: their fit and GCV (+inf when 3m + 1 >= n) from one solve."""
+    chosen = tuple(float(v) for v in grid[np.asarray(idx, dtype=int)])
+    fit, rss = splines._least_squares(BSplineBasis(KnotSequence(interval, chosen, order)), ts, ys)
+    d = effective_params(len(chosen))
     return SelectionResult(
-        selected_knots=tuple(float(v) for v in chosen),
-        gcv_value=gcv_score(ts, ys, chosen, order, interval),
-        effective_params=effective_params(len(best_subset)),
+        selected_knots=chosen,
+        gcv_value=float(_gcv(rss, ts.size, len(chosen))) if d < ts.size else np.inf,
+        effective_params=d,
         candidates=tuple(float(v) for v in grid),
-        trials=space.trials,
+        trials=trials,
         sweeps=sweeps,
+        fit=fit,
     )
 
 
 def select_knots(times, y, interval, policy: KnotPolicy) -> SelectionResult:
-    """Apply a KnotPolicy: elim-add search or the fixed uniform grid."""
+    """Apply a KnotPolicy: elim-add search or the fixed uniform grid, with the chosen knots' fit."""
     ts = np.asarray(times, dtype=float)
     count = policy.candidate_count if policy.candidate_count is not None else default_knot_count(ts.size)
     if policy.selection == "fixed-uniform":
-        grid = uniform_knots(interval, count)
-        score = _subset_score(ts, y, grid, policy.order, interval)
-        return SelectionResult(
-            selected_knots=tuple(float(v) for v in grid),
-            gcv_value=float(score),
-            effective_params=effective_params(count),
-            candidates=tuple(float(v) for v in grid),
-            trials=1,
-        )
+        ys = np.asarray(y, dtype=float)
+        ys = ys[:, None] if ys.ndim == 1 else ys
+        return _selection(ts, ys, interval, uniform_knots(interval, count), range(count), policy.order, trials=1)
     return elim_add(ts, y, interval, count, policy.order, policy.max_sweeps)

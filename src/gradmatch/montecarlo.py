@@ -23,7 +23,7 @@ from .errors import DegenerateSampleError, ExperimentError, GradMatchError
 from .estimator import CriterionConfig, TwoStepEstimate, WeightFunction, _fit_linear, _fit_nonlinear, _sample_path
 from .knots import KnotPolicy, select_knots
 from .models import dense_solve, get_model_spec
-from .splines import BSplineBasis, KnotSequence, eval_fit, fit_least_squares
+from .splines import eval_fit
 
 # substream purpose codes
 NOISE_PURPOSE = 1
@@ -198,10 +198,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
     model = config.build_model()
     try:
         selection = select_knots(times, ys, config.interval, config.knot_policy)
-        basis = BSplineBasis(
-            KnotSequence(config.interval, selection.selected_knots, config.knot_policy.order)
-        )
-        fit = fit_least_squares(basis, times, ys)
+        fit = selection.fit
         if fit.rank_deficient:
             return ReplicationResult(rep_index, False, failure="rank-deficient first-step spline")
 
@@ -218,9 +215,9 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
         estimates = {}
         for name, crit in crits.items():
             if model.linear:
-                est = _fit_linear(fit, sample, model, crit)
+                est = _fit_linear(sample, model, crit)
             else:
-                est = _fit_nonlinear(fit, sample, model, np.asarray(config.theta_star), crit)
+                est = _fit_nonlinear(sample, model, np.asarray(config.theta_star), crit)
             if not est.converged or not np.all(np.isfinite(est.theta_hat)):
                 return ReplicationResult(rep_index, False, failure=f"non-converged ({name})")
             estimates[name] = est

@@ -196,6 +196,24 @@ class SplineFit:
         return self.coefficients.shape[0]
 
 
+def _least_squares(basis: BSplineBasis, ts: np.ndarray, ys: np.ndarray) -> tuple[SplineFit, np.ndarray]:
+    """The fit of the (n, d) ys on the basis and its per-dimension RSS: one design, one lstsq."""
+    design = design_matrix(basis, ts)
+    n, kdim = design.shape
+    coef, _, rank, _ = np.linalg.lstsq(design, ys, rcond=SV_CUTOFF)
+    rss = np.sum((ys - design @ coef) ** 2, axis=0)
+    dof = n - kdim
+    sigma2 = rss / dof if dof > 0 else np.zeros(ys.shape[1])
+    fit = SplineFit(
+        basis=basis,
+        coefficients=coef.T.copy(),
+        residual_variance=sigma2,
+        times=ts.copy(),
+        rank_deficient=rank < kdim,
+    )
+    return fit, rss
+
+
 def fit_least_squares(basis: BSplineBasis, times, observations) -> SplineFit:
     """Fit every column of ``observations`` on the shared basis by least squares.
 
@@ -213,22 +231,7 @@ def fit_least_squares(basis: BSplineBasis, times, observations) -> SplineFit:
         raise ValueError(f"times ({ts.size}) and observations ({ys.shape[0]}) disagree")
     if np.any(np.diff(ts) < 0):
         raise ValueError("observation times must be nondecreasing")
-    design = design_matrix(basis, ts)
-    n, kdim = design.shape
-    coef, _, rank, _ = np.linalg.lstsq(design, ys, rcond=SV_CUTOFF)
-    resid = ys - design @ coef
-    dof = n - kdim
-    if dof > 0:
-        sigma2 = np.sum(resid**2, axis=0) / dof
-    else:
-        sigma2 = np.zeros(ys.shape[1])
-    return SplineFit(
-        basis=basis,
-        coefficients=coef.T.copy(),
-        residual_variance=sigma2,
-        times=ts.copy(),
-        rank_deficient=rank < kdim,
-    )
+    return _least_squares(basis, ts, ys)[0]
 
 
 def eval_fit(fit: SplineFit, t) -> np.ndarray:
@@ -308,30 +311,6 @@ def functional_variance(fit: SplineFit, functional: LinearFunctional, per_span: 
     pinv = _normal_matrix_pinv(fit)
     quad = np.einsum("ki,kl,li->i", gamma, pinv, gamma)
     return np.diag(fit.residual_variance * quad)
-
-
-def gram_matrices(basis: BSplineBasis, times) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical and theoretical Gram matrices of the basis.
-
-    Empirical: (1/n) design' design at the observation times.  Theoretical:
-    integral of B B' against the uniform distribution on the interval,
-    computed span by span with an ``order``-point Gauss-Legendre rule (exact for
-    the degree 2*(order-1) integrand).
-    """
-    design = design_matrix(basis, times)
-    emp = design.T @ design / design.shape[0]
-
-    k = basis.knots.order
-    nodes, weights = np.polynomial.legendre.leggauss(k)
-    bps = basis.knots.breakpoints
-    lo, hi = basis.interval
-    theo = np.zeros((basis.dimension, basis.dimension))
-    for a, b in zip(bps[:-1], bps[1:]):
-        half = 0.5 * (b - a)
-        ts = 0.5 * (a + b) + half * nodes
-        bv = eval_basis(basis, ts)
-        theo += half * (bv.T * weights) @ bv
-    return emp, theo / (hi - lo)
 
 
 def truncated_power_design(interval: tuple[float, float], interior_knots, order: int, times) -> np.ndarray:

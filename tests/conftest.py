@@ -44,8 +44,9 @@ def criteria():
     return CriterionRecorder()
 
 
-def pytest_collection_modifyitems(items):
-    for item in items:
+def pytest_collection_finish(session):
+    # the final items, after -m and -k deselection: a deselected criterion is not expected to record
+    for item in session.items:
         match = re.search(r"test_criterion_(\d+)", item.name)
         if match:
             _COLLECTED.add(int(match.group(1)))

@@ -533,6 +533,19 @@ class TestEstimateFromOneSample:
         if weight == "uniform":
             assert np.all(est.gamma_b != 0.0)
 
+    def test_gamma_b_is_taken_at_the_fits_ends(self):
+        # breakpoints (0, 10, 18) on a fit over (0, 20): gamma_b reads w at the
+        # fit's ends, where np.interp holds w(18) = 0.25, not at the weight's ends
+        fit = noisy_case1_fit()
+        model = case1_model()
+        weight = WeightFunction((0.0, 10.0, 18.0), (0.5, 1.0, 0.25))
+        at_fit_ends = WeightFunction(fit.basis.interval, (0.5, 0.25))
+        for label, run in ESTIMATORS.items():
+            est = run(fit, model, CriterionConfig(weight=weight))
+            want = boundary_functional(fit, model, est.theta_hat, at_fit_ends)
+            assert est.gamma_b.tobytes() == want.tobytes(), label
+            assert np.all(est.gamma_b != boundary_functional(fit, model, est.theta_hat, weight)), label
+
     def test_each_estimate_samples_the_path_once(self, monkeypatch):
         fit = noisy_case1_fit()
         model = case1_model()
@@ -560,8 +573,8 @@ class TestEstimateFromOneSample:
         for label, run in runs.items():
             calls.clear()
             run()
-            # one sample of the grid, plus eval_fit at the two endpoints for gamma_b
-            assert calls == {"quadrature_grid": 1, "eval_fit": 2, "eval_fit_derivative": 1}, label
+            # one sample of the grid, which gamma_b reads too
+            assert calls == {"quadrature_grid": 1, "eval_fit": 1, "eval_fit_derivative": 1}, label
 
     def test_closed_form_evaluates_param_jacobian_once_on_the_grid(self):
         fit = noisy_case1_fit()
@@ -569,8 +582,8 @@ class TestEstimateFromOneSample:
         model, rows = logged_param_jacobian(case1_model())
         fit_linear_in_theta(fit, model, config)
         nodes, _ = quadrature_grid(fit, config)
-        # J* and gamma_s share one call on the grid; gamma_b takes the two endpoints
-        assert rows == [nodes.size, 2]
+        # J*, gamma_s and gamma_b share one call on the grid
+        assert rows == [nodes.size]
 
     def test_nonfinite_path_raises_linear_algebra_error(self):
         fit = noisy_case1_fit()

@@ -1,5 +1,6 @@
 """Tests for GCV scoring and the elimination/addition knot search."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -18,7 +19,7 @@ from gradmatch.knots import (
     uniform_knots,
 )
 from gradmatch.montecarlo import ExperimentConfig, simulate_data
-from gradmatch.splines import BSplineBasis, KnotSequence, design_matrix, truncated_power_design
+from gradmatch.splines import BSplineBasis, KnotSequence, design_matrix, fit_least_squares, truncated_power_design
 
 CYCLE = dict(theta_star=(0.0, -1.5, 1.0, 2.0, 0.0, -1.5), fixed={"a1": 0.0, "b2": 0.0}, x0=(1.0, 2.0))
 DAMPED = dict(theta_star=(0.0, -1.5, 1.0, 1.5, -1.0, -1.5), fixed={"a1": 0.0, "b2": -1.0}, x0=(4.0, 2.0))
@@ -383,6 +384,23 @@ class TestCarriedBasis:
         assert len(calls) == 4
 
 
+class TestGridTables:
+    def test_cached_tables_are_read_only_and_equal_a_fresh_build(self):
+        interval, order = (0.0, 20.0), 4
+        grid = uniform_knots(interval, 30)
+        ts = np.linspace(0.0, 20.0, 200)
+        first = knots._NestedSpace(ts, np.sin(ts)[:, None], interval, grid, order)
+        second = knots._NestedSpace(ts, np.cos(ts)[:, None], interval, grid, order)
+        fresh = knots._grid_tables.__wrapped__(BSplineBasis(KnotSequence(interval, tuple(grid), order)))
+        for name, want in zip(("jumps", "sites", "collocate", "powers"), fresh):
+            got = getattr(first, name)
+            assert got is getattr(second, name), name  # built once per grid
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape, name
+            assert not got.flags.writeable, name
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+
+
 class TestMatchesReferenceWalk:
     @pytest.mark.parametrize("n", [20, 50, 200, 1000])
     @pytest.mark.parametrize("design", [CYCLE, DAMPED], ids=["cycle", "damped"])
@@ -428,7 +446,7 @@ class TestMatchesReferenceWalk:
         calls = []
         monkeypatch.setattr(knots, "gcv_score", lambda *a: calls.append(a) or gcv_score(*a))
         assert elim_add(times, y, (0.0, 1.0), 9) == want
-        assert len(calls) > 1  # more than the final rescoring of the chosen subset
+        assert len(calls) > 1  # trials of rank-deficient subsets, scored one by one
 
     def test_sweeps_bounded_by_max_sweeps(self):
         rng = np.random.default_rng(10)
@@ -493,6 +511,35 @@ class TestSelectKnots:
             KnotPolicy(max_sweeps=0)
         with pytest.raises(ValueError):
             KnotPolicy(order=1)
+
+    @pytest.mark.parametrize("selection", ["elim-add", "fixed-uniform"])
+    @pytest.mark.parametrize("n", [20, 50, 100, 200, 500, 1000])
+    @pytest.mark.parametrize("design", [CYCLE, DAMPED], ids=["cycle", "damped"])
+    def test_fit_and_gcv_value_equal_their_definitions(self, design, n, selection):
+        # one solve of the chosen subset gives both, bit for bit
+        policy = KnotPolicy(selection=selection)
+        for rep, times, ys, interval in study_datasets(design, n, 3):
+            result = select_knots(times, ys, interval, policy)
+            basis = BSplineBasis(KnotSequence(interval, result.selected_knots, policy.order))
+            got, want = result.fit, fit_least_squares(basis, times, ys)
+            assert got.basis == want.basis, rep
+            for name in ("coefficients", "residual_variance", "times"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (rep, name)
+            assert got.rank_deficient == want.rank_deficient, rep
+            if result.effective_params < n:
+                assert result.gcv_value == gcv_score(times, ys, result.selected_knots, policy.order, interval), rep
+            else:
+                assert result.gcv_value == np.inf, rep
+                with pytest.raises(DegreesOfFreedomError):
+                    gcv_score(times, ys, result.selected_knots, policy.order, interval)
+
+    def test_fit_is_left_out_of_equality_and_repr(self):
+        times = np.linspace(0.0, 1.0, 60)
+        result = select_knots(times, np.sin(4 * times), (0.0, 1.0), KnotPolicy(candidate_count=5))
+        assert result.fit is not None
+        assert result == dataclasses.replace(result, fit=None)
+        assert "fit=" not in repr(result)
 
     def test_result_is_plain_data(self):
         result = SelectionResult((0.5,), 1.0, 4, (0.25, 0.5, 0.75))

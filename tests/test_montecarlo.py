@@ -17,20 +17,25 @@ from gradmatch import (
     KnotPolicy,
     KnotSequence,
     BSplineBasis,
+    boundary_functional,
     criterion,
     criterion_components,
     fit_least_squares,
     integrate,
     ks_normality,
+    quadrature_grid,
     run_experiment,
     run_replication,
     simulate_data,
+    smooth_functional,
     summary_text,
     write_raw_csv,
     write_summary_csv,
 )
 import gradmatch.estimator as estimator
+import gradmatch.knots as knots
 import gradmatch.montecarlo as mc
+import gradmatch.splines as splines
 from gradmatch.montecarlo import (
     NOISE_PURPOSE,
     _TRUTH_TOL,
@@ -220,15 +225,53 @@ class TestRunReplication:
         counted(mc, "eval_fit")
         result = run_replication(config, 0)
         assert result.ok and set(result.estimates) == {"boundary", "uniform"}
-        # one sample of the quadrature grid for both weights; eval_fit also runs
-        # once on the fine grid (curve RMSE) and once per weight at the two
-        # endpoints (gamma_b)
+        # one sample of the quadrature grid for both weights, which gamma_b
+        # reads too; eval_fit also runs once on the fine grid (curve RMSE)
         assert calls == {
             "estimator.quadrature_grid": 1,
             "estimator.eval_fit_derivative": 1,
-            "estimator.eval_fit": 3,
+            "estimator.eval_fit": 1,
             "montecarlo.eval_fit": 1,
         }
+
+    def test_one_design_for_the_search_and_one_for_the_chosen_fit(self, monkeypatch):
+        calls = {}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(knots, "design_matrix")  # the search's factor
+        counted(splines, "design_matrix")  # the chosen subset's one solve
+        counted(knots, "gcv_score")
+        result = run_replication(case1_config(), 0)
+        assert result.ok
+        assert calls == {"design_matrix": 2}
+
+    @pytest.mark.parametrize("design", ["cycle", "damped"])
+    def test_diagnostics_equal_the_public_functionals_on_the_fit(self, design):
+        damped = dict(theta_star=(0.0, -1.5, 1.0, 1.5, -1.0, -1.5), fixed={"a1": 0.0, "b2": -1.0}, x0=(4.0, 2.0))
+        config = case1_config(n=200) if design == "cycle" else case1_config(n=200, **damped)
+        model = config.build_model()
+        for rep in range(3):
+            result = run_replication(config, rep)
+            assert result.ok, rep
+            times, ys = simulate_data(config, rep)
+            basis = BSplineBasis(KnotSequence(config.interval, result.selected_knots, config.knot_policy.order))
+            fit = fit_least_squares(basis, times, ys)
+            for name in config.weights:
+                weight = config.weight_function(name)
+                nodes, _ = quadrature_grid(fit, CriterionConfig(weight=weight, quad_nodes=config.quad_nodes))
+                est = result.estimates[name]
+                gamma_b = boundary_functional(fit, model, est.theta_hat, weight)
+                gamma_s = smooth_functional(fit, model, est.theta_hat, weight, nodes)
+                assert est.gamma_b.tobytes() == gamma_b.tobytes(), (rep, name)
+                assert est.gamma_s.tobytes() == gamma_s.tobytes(), (rep, name)
 
     def test_components_equal_the_public_criterion_at_the_estimate(self):
         config = case1_config()

