@@ -9,7 +9,7 @@ where the data need it. Here the target has a sharp shoulder at t = 3.
 
 import numpy as np
 
-from gradmatch import BSplineBasis, KnotPolicy, KnotSequence, eval_fit, fit_least_squares, select_knots
+from gradmatch import KnotPolicy, eval_fit, select_knots
 
 
 def bumpy(t):
@@ -23,22 +23,17 @@ def main():
     times = np.linspace(*interval, n)
     y = bumpy(times) + 0.05 * rng.standard_normal(n)
 
-    policy = KnotPolicy()
-    result = select_knots(times, y, interval, policy)
+    result = select_knots(times, y, interval, KnotPolicy())
     print("candidates offered: %d interior knots" % len(result.candidates))
     print("selected:           %d interior knots" % len(result.selected_knots))
     print("knots:", np.round(result.selected_knots, 2))
     print("gcv score: %.6g, effective parameters: %d" % (result.gcv_value, result.effective_params))
     print()
 
-    # compare against a uniform grid with the same number of knots
-    count = len(result.selected_knots)
-    uniform_interior = tuple(np.linspace(*interval, count + 2)[1:-1])
+    # compare against a uniform grid with the same number of knots (uniform_knots places them)
+    uniform = select_knots(times, y, interval, KnotPolicy(len(result.selected_knots), selection="fixed-uniform"))
     dense = np.linspace(*interval, 1500)
-    for name, interior in [("selected", result.selected_knots), ("uniform", uniform_interior)]:
-        fit = fit_least_squares(
-            BSplineBasis(KnotSequence(interval, tuple(interior), policy.order)), times, y
-        )
+    for name, fit in [("selected", result.fit), ("uniform", uniform.fit)]:
         err = eval_fit(fit, dense)[:, 0] - bumpy(dense)
         print("%-8s knots: max curve error %.4f, rms %.4f"
               % (name, np.abs(err).max(), np.sqrt(np.mean(err**2))))

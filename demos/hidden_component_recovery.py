@@ -39,11 +39,9 @@ def main():
     u_fit = fit_least_squares(BSplineBasis(knots), times, y)
 
     system = PartiallyLinearSystem(
-        d_obs=1,
         d_hidden=1,
         g=lambda u, v, eta: v,              # observed equation: u' = v
         h=lambda u, eta: -eta[0] * u,       # hidden equation:   v' = -eta * u
-        n_eta=1,
     )
     est = fit_partially_observed(
         u_fit,

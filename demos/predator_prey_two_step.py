@@ -15,13 +15,11 @@ weight restores the fast convergence rate.
 import numpy as np
 
 from gradmatch import (
-    BSplineBasis,
+    WEIGHT_NAMES,
     CriterionConfig,
     KnotPolicy,
-    KnotSequence,
     WeightFunction,
-    fit_least_squares,
-    fit_linear_in_theta,
+    estimate_weights,
     get_model_spec,
     integrate,
     select_knots,
@@ -41,11 +39,8 @@ def main():
     y = truth.states + sigma * rng.standard_normal(truth.states.shape)
 
     interval = (0.0, 20.0)
-    policy = KnotPolicy()
-    selection = select_knots(times, y, interval, policy)
-    fit = fit_least_squares(
-        BSplineBasis(KnotSequence(interval, selection.selected_knots, policy.order)), times, y
-    )
+    selection = select_knots(times, y, interval, KnotPolicy())
+    fit = selection.fit  # least squares on the chosen knots
     print("smoothed %d noisy observations with %d interior knots"
           % (n, len(selection.selected_knots)))
     print()
@@ -53,16 +48,13 @@ def main():
     free = [i for i, name in enumerate(model.param_names) if name not in ("a1", "b2")]
     print("              " + "".join("%9s" % model.param_names[i] for i in free))
     print("true          " + "".join("%9.3f" % THETA_STAR[i] for i in free))
-    for label, weight in [
-        ("boundary w", WeightFunction.boundary_vanishing(interval)),
-        ("uniform w", WeightFunction.uniform(interval)),
-    ]:
-        est = fit_linear_in_theta(fit, model, CriterionConfig(weight=weight))
-        print("%-13s" % label + "".join("%9.3f" % est.theta_hat[i] for i in free))
+    # both weights read one sample of the spline path; the model is linear, so each is a closed form
+    criteria = {name: CriterionConfig(weight=WeightFunction.named(name, interval)) for name in WEIGHT_NAMES}
+    estimates = estimate_weights(fit, model, criteria)
+    for name, est in estimates.items():
+        print("%-13s" % (name + " w") + "".join("%9.3f" % est.theta_hat[i] for i in free))
 
-    est = fit_linear_in_theta(
-        fit, model, CriterionConfig(weight=WeightFunction.boundary_vanishing(interval))
-    )
+    est = estimates["boundary"]
     print()
     print("diagnostics at the boundary-weighted estimate:")
     print("  criterion value:        %.5f" % est.criterion_value)

@@ -64,6 +64,7 @@ from .models import (
     write_trajectory_csv,
 )
 from .estimator import (
+    WEIGHT_NAMES,
     CriterionConfig,
     PartialObservationEstimate,
     TwoStepEstimate,
@@ -73,6 +74,7 @@ from .estimator import (
     criterion_components,
     criterion_hessian,
     estimate_report,
+    estimate_weights,
     fit_linear_in_theta,
     fit_nonlinear,
     fit_partially_observed,

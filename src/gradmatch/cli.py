@@ -7,9 +7,10 @@ Subcommands:
     mc         replicated simulation study driven by a JSON config file
 
 Exit codes: 0 success, 2 usage or configuration problem (including a
-negative knot count, an mc --jobs below 1, or a rank-deficient first-step
-spline fit), 3 simulation failure (trajectory blow-up), 4 identifiability
-failure, 5 too many failed replications.
+negative knot count, --theta-init for a model declared linear, an mc --jobs
+below 1, or a rank-deficient first-step spline fit), 3 simulation failure
+(trajectory blow-up), 4 identifiability failure, 5 too many failed
+replications.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     BlowupError,
     ConfigError,
@@ -31,13 +30,7 @@ from .errors import (
     GradMatchError,
     IdentifiabilityError,
 )
-from .estimator import (
-    CriterionConfig,
-    WeightFunction,
-    fit_linear_in_theta,
-    fit_nonlinear,
-    write_report,
-)
+from .estimator import WEIGHT_NAMES, CriterionConfig, WeightFunction, estimate_weights, write_report
 from .knots import KnotPolicy, select_knots
 from .models import MODEL_REGISTRY, get_model_spec, read_trajectory_csv, write_trajectory_csv, Trajectory
 from .montecarlo import (
@@ -48,7 +41,6 @@ from .montecarlo import (
     write_raw_csv,
     write_summary_csv,
 )
-from .splines import BSplineBasis, KnotSequence, fit_least_squares
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,6 +50,9 @@ EXIT_REPLICATION_FAILURES = 5
 
 _MC_REQUIRED_KEYS = {"schema", "model", "theta_star", "x0", "n_list", "replications", "seed"}
 _MC_OPTIONAL_KEYS = {"fixed", "sigma", "t_end", "weights", "label", "raw_dump", "quad_nodes"}
+# config keys that are not ExperimentConfig fields, and the fields that must be integers
+_MC_RUN_KEYS = {"schema", "n_list", "label", "raw_dump"}
+_MC_INTEGER_KEYS = {"replications", "seed", "quad_nodes"}
 
 
 def _float_list(text: str, flag: str) -> list[float]:
@@ -92,9 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--theta", required=True, help="comma-separated parameter vector")
     sim.add_argument("--x0", required=True, help="comma-separated initial state")
     sim.add_argument("--n", required=True, type=int, help="number of observations")
-    sim.add_argument("--sigma", type=float, default=0.2, help="noise standard deviation")
-    sim.add_argument("--t-end", type=float, default=20.0, help="end of the time interval")
-    sim.add_argument("--seed", type=int, default=0, help="master seed")
+    # an absent --sigma, --t-end or --seed takes ExperimentConfig's default
+    sim.add_argument("--sigma", type=float, default=argparse.SUPPRESS, help="noise standard deviation")
+    sim.add_argument("--t-end", type=float, default=argparse.SUPPRESS, help="end of the time interval")
+    sim.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="master seed")
     sim.add_argument("--out", required=True, help="output CSV path")
 
     fit = sub.add_parser("fit", help="two-step estimation on a CSV dataset")
@@ -107,13 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=VALUE",
         help="parameters held fixed (default: the model's registry defaults)",
     )
-    fit.add_argument("--weight", choices=("boundary", "uniform"), default="boundary")
+    fit.add_argument("--weight", choices=WEIGHT_NAMES, default="boundary")
     fit.add_argument(
         "--knots",
         default="auto",
-        help="'auto' for GCV selection or an integer count of uniform interior knots",
+        help="'auto' for GCV selection or an integer count >= 0 of uniform interior knots",
     )
-    fit.add_argument("--theta-init", default=None, help="comma-separated start for nonlinear fits")
+    fit.add_argument("--theta-init", default=None, help="comma-separated start for models not declared linear")
     fit.add_argument("--out", default=None, help="JSON report path")
 
     mc = sub.add_parser("mc", help="replicated simulation study from a JSON config")
@@ -124,25 +120,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
-    spec = get_model_spec(args.model)
-    theta = _float_list(args.theta, "--theta")
-    x0 = _float_list(args.x0, "--x0")
-    if len(theta) != len(spec.param_names):
-        print(
-            f"error: --theta needs {len(spec.param_names)} values for model {args.model!r}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    options = {key: getattr(args, key) for key in ("sigma", "t_end", "seed") if hasattr(args, key)}
     try:
         config = ExperimentConfig(
             model=args.model,
-            theta_star=tuple(theta),
-            x0=tuple(x0),
+            theta_star=_float_list(args.theta, "--theta"),
+            x0=_float_list(args.x0, "--x0"),
             n=args.n,
-            sigma=args.sigma,
-            t_end=args.t_end,
-            seed=args.seed,
             replications=1,
+            **options,
         )
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -177,21 +163,22 @@ def cmd_fit(args) -> int:
     except (ConfigError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    if model.linear and args.theta_init is not None:
+        print(f"error: --theta-init is not used: model {args.model!r} is declared linear", file=sys.stderr)
+        return EXIT_USAGE
+    if not model.linear and args.theta_init is None:
+        print(f"error: --theta-init is required: model {args.model!r} is not declared linear", file=sys.stderr)
+        return EXIT_USAGE
+    theta_init = None if args.theta_init is None else _float_list(args.theta_init, "--theta-init")
+    try:
+        policy = KnotPolicy() if args.knots == "auto" else KnotPolicy(int(args.knots), selection="fixed-uniform")
+    except ValueError:
+        print(f"error: --knots expects 'auto' or an integer >= 0, got {args.knots!r}", file=sys.stderr)
+        return EXIT_USAGE
 
     interval = (float(data.times[0]), float(data.times[-1]))
     try:
-        if args.knots == "auto":
-            fit = select_knots(data.times, data.states, interval, KnotPolicy()).fit
-        else:
-            try:
-                count = int(args.knots)
-            except ValueError:
-                count = -1
-            if count < 0:
-                print(f"error: --knots expects 'auto' or an integer >= 0, got {args.knots!r}", file=sys.stderr)
-                return EXIT_USAGE
-            interior = tuple(np.linspace(interval[0], interval[1], count + 2)[1:-1])
-            fit = fit_least_squares(BSplineBasis(KnotSequence(interval, interior, order=4)), data.times, data.states)
+        fit = select_knots(data.times, data.states, interval, policy).fit
     except (DegreesOfFreedomError, GradMatchError) as err:
         print(f"error: first-step fit failed: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -203,21 +190,9 @@ def cmd_fit(args) -> int:
         )
         return EXIT_USAGE
 
-    weight = (
-        WeightFunction.boundary_vanishing(interval)
-        if args.weight == "boundary"
-        else WeightFunction.uniform(interval)
-    )
-    config = CriterionConfig(weight=weight)
+    criteria = {args.weight: CriterionConfig(weight=WeightFunction.named(args.weight, interval))}
     try:
-        if model.linear:
-            estimate = fit_linear_in_theta(fit, model, config)
-        else:
-            if args.theta_init is None:
-                print("error: --theta-init is required for this model", file=sys.stderr)
-                return EXIT_USAGE
-            theta_init = np.array(_float_list(args.theta_init, "--theta-init"))
-            estimate = fit_nonlinear(fit, model, theta_init=theta_init, config=config)
+        estimate = estimate_weights(fit, model, criteria, theta_init)[args.weight]
     except IdentifiabilityError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IDENTIFIABILITY
@@ -276,23 +251,17 @@ def cmd_mc(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 
-    # every n is checked before any replication runs or any output is written
+    # every n is checked before any replication runs or any output is written;
+    # a key the config leaves out takes ExperimentConfig's default
     configs = []
     for n in raw["n_list"]:
         try:
-            config = ExperimentConfig(
-                model=raw["model"],
-                theta_star=tuple(raw["theta_star"]),
-                fixed=raw.get("fixed", {}),
-                x0=tuple(raw["x0"]),
-                n=_integer(n, "n_list entry"),
-                sigma=raw.get("sigma", 0.2),
-                t_end=raw.get("t_end", 20.0),
-                weights=tuple(raw.get("weights", ("boundary", "uniform"))),
-                replications=_integer(raw["replications"], "replications"),
-                seed=_integer(raw["seed"], "seed"),
-                quad_nodes=_integer(raw.get("quad_nodes", 1024), "quad_nodes"),
-            )
+            fields = {
+                key: _integer(value, key) if key in _MC_INTEGER_KEYS else value
+                for key, value in raw.items()
+                if key not in _MC_RUN_KEYS
+            }
+            config = ExperimentConfig(n=_integer(n, "n_list entry"), **fields)
         except (ValueError, KeyError, TypeError) as err:
             print(f"error: invalid config for n={n}: {err}", file=sys.stderr)
             return EXIT_USAGE

@@ -29,6 +29,8 @@ from .splines import SV_CUTOFF, SplineFit, eval_fit, eval_fit_derivative
 
 _SINGULAR_CONDITION = 1e10
 
+WEIGHT_NAMES = ("boundary", "uniform")
+
 
 @dataclass(frozen=True)
 class WeightFunction:
@@ -69,6 +71,15 @@ class WeightFunction:
             raise ValueError("ramp_fraction must be in (0, 0.5)")
         ramp = ramp_fraction * (hi - lo)
         return WeightFunction((lo, lo + ramp, hi - ramp, hi), (0.0, 1.0, 1.0, 0.0))
+
+    @staticmethod
+    def named(name: str, interval: tuple[float, float]) -> "WeightFunction":
+        """The weight ``name`` in WEIGHT_NAMES stands for: "boundary" (the default ramp) or "uniform"."""
+        if name == "boundary":
+            return WeightFunction.boundary_vanishing(interval)
+        if name == "uniform":
+            return WeightFunction.uniform(interval)
+        raise ValueError(f"unknown weight {name!r}; choose from {WEIGHT_NAMES}")
 
 
 @dataclass(frozen=True)
@@ -400,6 +411,27 @@ def _fit_nonlinear(sample, model, theta_init, config, max_iter=200, starts=None)
     theta = _assemble_theta(model, z)
     jac = _free_jacobian(model, sample.nodes, sample.x, theta)
     return _estimate(sample, model, theta, jac, config, converged, iterations)
+
+
+def estimate_weights(fit: SplineFit, model: VectorFieldModel, criteria: dict, theta_init=None) -> dict:
+    """One estimate per named q = 2 criterion, every one read off one sample of the fit.
+
+    The sample depends only on quad_nodes, which the criteria must share.  A
+    model declared linear takes the closed form of fit_linear_in_theta; any
+    other takes the Gauss-Newton loop of fit_nonlinear from ``theta_init``.
+    ValueError for no criteria, mixed quad_nodes, q != 2, or a model not
+    declared linear without ``theta_init``.
+    """
+    if len({crit.quad_nodes for crit in criteria.values()}) != 1:
+        raise ValueError("need at least one criterion, all with the same quad_nodes")
+    if any(crit.q != 2 for crit in criteria.values()):
+        raise ValueError("estimate_weights requires q = 2")
+    if theta_init is None and not model.linear:
+        raise ValueError("theta_init is required for models not declared linear")
+    sample = _sample_path(fit, next(iter(criteria.values())))
+    if model.linear:
+        return {name: _fit_linear(sample, model, crit) for name, crit in criteria.items()}
+    return {name: _fit_nonlinear(sample, model, theta_init, crit) for name, crit in criteria.items()}
 
 
 def _diagnostic_sample(path, model: VectorFieldModel, theta, weight: WeightFunction, nodes):

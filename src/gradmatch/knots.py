@@ -53,9 +53,9 @@ _MIN_OBSERVATIONS = 10
 class KnotPolicy:
     """How a pipeline chooses knots.
 
-    candidate_count None means "derive from the sample size".  selection is
-    either "elim-add" (GCV-guided subset walk) or "fixed-uniform" (use the full
-    uniform grid as-is).
+    candidate_count None means "derive from the sample size"; 0 gives the
+    knot-free cubic.  selection is either "elim-add" (GCV-guided subset walk)
+    or "fixed-uniform" (use the full uniform grid as-is).
     """
 
     candidate_count: int | None = None
@@ -64,8 +64,8 @@ class KnotPolicy:
     max_sweeps: int = 10
 
     def __post_init__(self):
-        if self.candidate_count is not None and self.candidate_count < 1:
-            raise ValueError(f"candidate_count must be >= 1, got {self.candidate_count}")
+        if self.candidate_count is not None and self.candidate_count < 0:
+            raise ValueError(f"candidate_count must be >= 0, got {self.candidate_count}")
         if self.order < 2:
             raise ValueError(f"order must be >= 2, got {self.order}")
         if self.selection not in ("elim-add", "fixed-uniform"):

@@ -28,8 +28,9 @@ class VectorFieldModel:
     """A parametric vector field with its Jacobians.
 
     field(t, x, theta) evaluates the right-hand side; jacobian_state and
-    jacobian_param are its derivatives in x and theta.  fixed_mask marks
-    parameters held fixed during estimation (their values travel inside theta).
+    jacobian_param are its derivatives in x and theta; n_params is
+    len(param_names).  fixed_mask marks parameters held fixed during
+    estimation (their values travel inside theta).
     linear declares the field affine in theta, so that
     field(theta) = jacobian_param[..., free] @ theta_free + field(theta_free = 0)
     with a jacobian_param that does not depend on theta; the closed-form
@@ -37,7 +38,6 @@ class VectorFieldModel:
     """
 
     dim: int
-    n_params: int
     field: Callable
     jacobian_state: Callable
     jacobian_param: Callable
@@ -59,8 +59,10 @@ class VectorFieldModel:
         if vals.shape != (self.n_params,):
             raise ValueError(f"fixed_values must have shape ({self.n_params},)")
         object.__setattr__(self, "fixed_values", vals)
-        if len(self.param_names) != self.n_params:
-            raise ValueError("param_names length must equal n_params")
+
+    @property
+    def n_params(self) -> int:
+        return len(self.param_names)
 
     @property
     def free_indices(self) -> np.ndarray:
@@ -111,7 +113,6 @@ def glv_field(fixed_mask=None, fixed_values=None) -> VectorFieldModel:
 
     return VectorFieldModel(
         dim=2,
-        n_params=6,
         field=field,
         jacobian_state=jacobian_state,
         jacobian_param=jacobian_param,
@@ -154,7 +155,6 @@ def damped_linear_field(fixed_mask=None, fixed_values=None) -> VectorFieldModel:
 
     return VectorFieldModel(
         dim=2,
-        n_params=2,
         field=field,
         jacobian_state=jacobian_state,
         jacobian_param=jacobian_param,
@@ -513,11 +513,9 @@ class PartiallyLinearSystem:
     degenerates to a fully observed model.
     """
 
-    d_obs: int
     d_hidden: int
     g: Callable
     h: Callable
-    n_eta: int
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSampleError, ExperimentError, GradMatchError
-from .estimator import CriterionConfig, TwoStepEstimate, WeightFunction, _fit_linear, _fit_nonlinear, _sample_path
+from .estimator import WEIGHT_NAMES, CriterionConfig, WeightFunction, estimate_weights
 from .knots import KnotPolicy, select_knots
 from .models import dense_solve, get_model_spec
 from .splines import eval_fit
@@ -34,8 +34,6 @@ _KS_BLOCK = 8192  # values per block of the null table; the whole table in one b
 _TRUTH_TOL = 1e-10
 _FINE_GRID = 2001
 _MAX_FAILURE_FRACTION = 0.2
-
-WEIGHT_NAMES = ("boundary", "uniform")
 
 
 def substream(master_seed: int, replication: int, purpose: int) -> np.random.Generator:
@@ -123,10 +121,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.weights:
             raise ValueError("need at least one weight variant")
-        for w in self.weights:
-            if w not in WEIGHT_NAMES:
-                raise ValueError(f"unknown weight {w!r}; choose from {WEIGHT_NAMES}")
-        CriterionConfig(WeightFunction.uniform(self.interval), quad_nodes=self.quad_nodes)  # the criterion's own checks
+        for name in self.weights:
+            CriterionConfig(self.weight_function(name), quad_nodes=self.quad_nodes)  # the criterion's own checks
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -136,9 +132,7 @@ class ExperimentConfig:
         return get_model_spec(self.model).build(dict(self.fixed))
 
     def weight_function(self, name: str) -> WeightFunction:
-        if name == "uniform":
-            return WeightFunction.uniform(self.interval)
-        return WeightFunction.boundary_vanishing(self.interval)
+        return WeightFunction.named(name, self.interval)
 
 
 def observation_times(config: ExperimentConfig) -> np.ndarray:
@@ -210,17 +204,10 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
             name: CriterionConfig(weight=config.weight_function(name), quad_nodes=config.quad_nodes)
             for name in config.weights
         }
-        # the path sample does not depend on the weight, so every weight reads this one
-        sample = _sample_path(fit, crits[config.weights[0]])
-        estimates = {}
-        for name, crit in crits.items():
-            if model.linear:
-                est = _fit_linear(sample, model, crit)
-            else:
-                est = _fit_nonlinear(sample, model, np.asarray(config.theta_star), crit)
+        estimates = estimate_weights(fit, model, crits, theta_init=config.theta_star)
+        for name, est in estimates.items():
             if not est.converged or not np.all(np.isfinite(est.theta_hat)):
                 return ReplicationResult(rep_index, False, failure=f"non-converged ({name})")
-            estimates[name] = est
     except (GradMatchError, np.linalg.LinAlgError) as err:
         return ReplicationResult(rep_index, False, failure=f"{type(err).__name__}: {err}")
     return ReplicationResult(

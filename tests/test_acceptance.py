@@ -369,7 +369,6 @@ def duplicated_param_model():
 
     return VectorFieldModel(
         dim=1,
-        n_params=2,
         field=field,
         jacobian_state=jacobian_state,
         jacobian_param=jacobian_param,

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (invoked in process)."""
 
 import csv
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -9,6 +10,20 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from gradmatch import (
+    MODEL_REGISTRY,
+    CriterionConfig,
+    KnotPolicy,
+    ModelSpec,
+    WeightFunction,
+    fit_linear_in_theta,
+    fit_nonlinear,
+    get_model_spec,
+    glv_field,
+    read_trajectory_csv,
+    select_knots,
+    write_report,
+)
 from gradmatch.cli import main
 from gradmatch.errors import BlowupError, ExperimentError
 
@@ -94,8 +109,17 @@ class TestSimulate:
             main(args)
         assert excinfo.value.code == 2
 
-    def test_wrong_theta_length_exits_2(self, tmp_path):
+    def test_wrong_theta_length_exits_2(self, tmp_path, capsys):
         assert main(simulate_args(tmp_path / "x.csv", theta="1,2,3")) == 2
+        assert "theta_star needs 6 entries" in capsys.readouterr().err
+
+    def test_absent_options_take_the_study_defaults(self, tmp_path):
+        # without --sigma, --t-end and --seed the run reads ExperimentConfig's 0.2, 20 and 0
+        explicit, implicit = tmp_path / "explicit.csv", tmp_path / "implicit.csv"
+        args = ["simulate", "--model", "glv", "--theta", CASE1_THETA, "--x0", "1,2", "--n", "60"]
+        assert main(args + ["--sigma", "0.2", "--t-end", "20", "--seed", "0", "--out", str(explicit)]) == 0
+        assert main(args + ["--out", str(implicit)]) == 0
+        assert explicit.read_bytes() == implicit.read_bytes()
 
     @pytest.mark.parametrize("x0", ["1", "1,2,3"])
     def test_wrong_x0_length_exits_2(self, tmp_path, x0, capsys):
@@ -195,6 +219,45 @@ class TestFit:
         theta = np.array(json.loads(report_path.read_text())["theta_hat"])
         assert np.all(np.isfinite(theta))
 
+    @pytest.mark.parametrize("count", [0, 25, 40])
+    def test_knot_count_is_the_fixed_uniform_policy(self, case1_n500, tmp_path, count):
+        got, want = tmp_path / "got.json", tmp_path / "want.json"
+        args = ["fit", "--data", str(case1_n500), "--model", "glv", "--knots", str(count), "--out", str(got)]
+        assert main(args) == 0
+        data = read_trajectory_csv(case1_n500)
+        interval = (float(data.times[0]), float(data.times[-1]))
+        fit = select_knots(data.times, data.states, interval, KnotPolicy(count, selection="fixed-uniform")).fit
+        assert len(fit.basis.knots.interior_knots) == count
+        model = get_model_spec("glv").build()
+        config = CriterionConfig(weight=WeightFunction.boundary_vanishing(interval))
+        write_report(fit_linear_in_theta(fit, model, config), want)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_theta_init_for_a_linear_model_exits_2(self, case1_n500, capsys):
+        code = main(["fit", "--data", str(case1_n500), "--model", "glv", "--theta-init", CASE1_THETA])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--theta-init is not used" in captured.err and "declared linear" in captured.err
+        assert "theta_hat" not in captured.out
+
+    def test_model_not_declared_linear_starts_from_theta_init(self, case1_n500, tmp_path, monkeypatch, capsys):
+        def factory(fixed_mask=None, fixed_values=None):
+            return dataclasses.replace(glv_field(fixed_mask, fixed_values), linear=False)
+
+        monkeypatch.setitem(MODEL_REGISTRY, "glv-gn", ModelSpec("glv-gn", factory, {"a1": 0.0, "b2": 0.0}))
+        base = ["fit", "--data", str(case1_n500), "--model", "glv-gn"]
+        assert main(base) == 2
+        assert "--theta-init is required" in capsys.readouterr().err
+        got, want = tmp_path / "got.json", tmp_path / "want.json"
+        assert main(base + ["--theta-init", "0,-1,1,1,0,-1", "--out", str(got)]) == 0
+        data = read_trajectory_csv(case1_n500)
+        interval = (float(data.times[0]), float(data.times[-1]))
+        fit = select_knots(data.times, data.states, interval, KnotPolicy()).fit
+        model = get_model_spec("glv-gn").build()
+        config = CriterionConfig(weight=WeightFunction.boundary_vanishing(interval))
+        write_report(fit_nonlinear(fit, model, [0.0, -1.0, 1.0, 1.0, 0.0, -1.0], config), want)
+        assert got.read_bytes() == want.read_bytes()
+
     @pytest.mark.parametrize("knots", ["-1", "x"])
     def test_bad_knot_count_exits_2(self, case1_n500, knots, capsys):
         code = main(["fit", "--data", str(case1_n500), "--model", "glv", "--knots", knots])
@@ -280,6 +343,25 @@ class TestMonteCarlo:
         with open(raw, newline="") as fh:
             raw_rows = list(csv.DictReader(fh))
         assert len(raw_rows) == 6
+
+    def test_absent_optional_keys_take_the_config_defaults(self, tmp_path):
+        required = {
+            "schema": 1,
+            "model": "glv",
+            "theta_star": [0.0, -1.5, 1.0, 2.0, 0.0, -1.5],
+            "x0": [1.0, 2.0],
+            "n_list": [50],
+            "replications": 3,
+            "seed": 11,
+        }
+        spelled = dict(required, fixed={}, sigma=0.2, t_end=20.0, weights=["boundary", "uniform"],
+                       quad_nodes=1024, label="experiment", raw_dump=False)
+        for name, config in (("required", required), ("spelled", spelled)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+            assert main(["mc", "--config", str(tmp_path / f"{name}.json"), "--out-dir", str(tmp_path / name)]) == 0
+        for name in ("experiment_summary.csv", "experiment_summary.txt"):
+            assert (tmp_path / "required" / name).read_bytes() == (tmp_path / "spelled" / name).read_bytes(), name
+        assert sorted(p.name for p in (tmp_path / "required").iterdir()) == ["experiment_summary.csv", "experiment_summary.txt"]
 
     def test_job_count_does_not_change_results(self, tmp_path):
         config = write_mc_config(tmp_path / "config.json", n_list=[20, 50], raw_dump=True)

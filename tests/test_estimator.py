@@ -10,6 +10,7 @@ import pytest
 from gradmatch import (
     BSplineBasis,
     CriterionConfig,
+    ExperimentConfig,
     IdentifiabilityError,
     IdentifiabilityWarning,
     KnotSequence,
@@ -22,6 +23,7 @@ from gradmatch import (
     criterion_components,
     criterion_hessian,
     estimate_report,
+    estimate_weights,
     fit_least_squares,
     fit_linear_in_theta,
     fit_nonlinear,
@@ -30,6 +32,8 @@ from gradmatch import (
     integrate,
     linearization_residual,
     quadrature_grid,
+    select_knots,
+    simulate_data,
     smooth_functional,
     write_report,
 )
@@ -56,7 +60,6 @@ def constant_field_model(dim):
 
     return VectorFieldModel(
         dim=dim,
-        n_params=dim,
         field=field,
         jacobian_state=jacobian_state,
         jacobian_param=jacobian_param,
@@ -81,7 +84,6 @@ def single_param_model(g, g_state):
 
     return VectorFieldModel(
         dim=1,
-        n_params=1,
         field=field,
         jacobian_state=jacobian_state,
         jacobian_param=jacobian_param,
@@ -109,7 +111,6 @@ def duplicated_param_model():
 
     return VectorFieldModel(
         dim=1,
-        n_params=2,
         field=field,
         jacobian_state=jacobian_state,
         jacobian_param=jacobian_param,
@@ -226,6 +227,14 @@ class TestWeightFunction:
     def test_ramp_fraction_bounds(self):
         with pytest.raises(ValueError):
             WeightFunction.boundary_vanishing((0.0, 1.0), ramp_fraction=0.5)
+
+    @pytest.mark.parametrize("name", ["boundary", "uniform"])
+    def test_named_weights(self, name):
+        interval = (0.0, 20.0)
+        want = WeightFunction.boundary_vanishing(interval) if name == "boundary" else WeightFunction.uniform(interval)
+        assert WeightFunction.named(name, interval) == want
+        with pytest.raises(ValueError, match="unknown weight 'flat'"):
+            WeightFunction.named("flat", interval)
 
 
 class TestCriterionConfig:
@@ -596,6 +605,77 @@ class TestEstimateFromOneSample:
                 run(broken, case1_model(), config)
 
 
+UNIFORM_20 = WeightFunction.uniform((0.0, 20.0))
+
+# the designs of configs/full_case1.json and full_case2.json
+DESIGNS = {
+    "cycle": dict(theta_star=tuple(THETA_CASE1), fixed={"a1": 0.0, "b2": 0.0}, x0=(1.0, 2.0)),
+    "damped": dict(theta_star=(0.0, -1.5, 1.0, 1.5, -1.0, -1.5), fixed={"a1": 0.0, "b2": -1.0}, x0=(4.0, 2.0)),
+}
+
+
+def assert_same_estimate(got, want, label):
+    for field in dataclasses.fields(TwoStepEstimate):
+        a, b = np.asarray(getattr(got, field.name)), np.asarray(getattr(want, field.name))
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (label, field.name)
+
+
+class TestEstimateWeights:
+    """estimate_weights against fit_linear_in_theta and fit_nonlinear, one criterion at a time."""
+
+    @staticmethod
+    def study_fits(design, n, reps=2):
+        config = ExperimentConfig(model="glv", n=n, replications=reps, seed=20260815, **DESIGNS[design])
+        criteria = {
+            name: CriterionConfig(weight=config.weight_function(name), quad_nodes=config.quad_nodes)
+            for name in config.weights
+        }
+        for rep in range(reps):
+            times, ys = simulate_data(config, rep)
+            yield rep, select_knots(times, ys, config.interval, config.knot_policy).fit, config, criteria
+
+    @pytest.mark.parametrize("n", [20, 100, 500])
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_linear_model_equals_the_closed_form_per_weight(self, design, n):
+        for rep, fit, config, criteria in self.study_fits(design, n):
+            model = config.build_model()
+            got = estimate_weights(fit, model, criteria)
+            assert list(got) == list(criteria)
+            for name, crit in criteria.items():
+                assert_same_estimate(got[name], fit_linear_in_theta(fit, model, crit), (rep, name))
+            # a linear model takes the closed form whatever start is given
+            for name, est in estimate_weights(fit, model, criteria, theta_init=THETA_CASE1 + 1.0).items():
+                assert_same_estimate(est, got[name], (rep, name, "theta_init"))
+
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_other_model_equals_gauss_newton_per_weight(self, design):
+        for rep, fit, config, criteria in self.study_fits(design, 200):
+            model = dataclasses.replace(config.build_model(), linear=False)
+            start = np.asarray(config.theta_star) + 0.1
+            got = estimate_weights(fit, model, criteria, theta_init=start)
+            for name, crit in criteria.items():
+                assert_same_estimate(got[name], fit_nonlinear(fit, model, start, crit), (rep, name))
+
+    @pytest.mark.parametrize(
+        "criteria",
+        [
+            {"a": CriterionConfig(UNIFORM_20), "b": CriterionConfig(UNIFORM_20, quad_nodes=512)},
+            {"a": CriterionConfig(UNIFORM_20, q=3.0)},
+            {},
+        ],
+        ids=["mixed quad_nodes", "q = 3", "no criteria"],
+    )
+    def test_criteria_that_cannot_share_one_sample_raise(self, criteria):
+        for theta_init in (None, THETA_CASE1):
+            with pytest.raises(ValueError):
+                estimate_weights(noisy_case1_fit(), case1_model(), criteria, theta_init)
+
+    def test_other_model_needs_a_start(self):
+        model = dataclasses.replace(case1_model(), linear=False)
+        with pytest.raises(ValueError, match="theta_init"):
+            estimate_weights(noisy_case1_fit(), model, {"a": CriterionConfig(UNIFORM_20)})
+
+
 class TestCriterionHessian:
     def test_orthonormal_columns_give_identity(self):
         model = constant_field_model(2)
@@ -809,7 +889,7 @@ def oscillator_system():
     def h(u, eta):
         return -eta[0] * u
 
-    return PartiallyLinearSystem(d_obs=1, d_hidden=1, g=g, h=h, n_eta=1)
+    return PartiallyLinearSystem(d_hidden=1, g=g, h=h)
 
 
 class TestFitPartiallyObserved:
@@ -833,9 +913,7 @@ class TestFitPartiallyObserved:
             theta[free] = eta
             return model.field(None, u, theta)
 
-        system = PartiallyLinearSystem(
-            d_obs=2, d_hidden=0, g=g, h=lambda u, eta: np.zeros((u.shape[0], 0)), n_eta=4
-        )
+        system = PartiallyLinearSystem(d_hidden=0, g=g, h=lambda u, eta: np.zeros((u.shape[0], 0)))
         est = fit_partially_observed(
             fit,
             system,
@@ -927,7 +1005,7 @@ class TestFitPartiallyObserved:
                 t = np.interp(np.linspace(0, 1, u.shape[0]), np.linspace(0, 1, t.size), t)
             return eta[0] * u + eta[1] * np.cos(t)[:, None] + v
 
-        system = PartiallyLinearSystem(d_obs=1, d_hidden=1, g=g_capture, h=h, n_eta=2)
+        system = PartiallyLinearSystem(d_hidden=1, g=g_capture, h=h)
         config = CriterionConfig(weight=WeightFunction.boundary_vanishing((0.0, 8.0)))
         nodes, delta = quadrature_grid(fit, config)
         captured["nodes"] = nodes

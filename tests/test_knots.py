@@ -504,7 +504,7 @@ class TestSelectKnots:
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            KnotPolicy(candidate_count=0)
+            KnotPolicy(candidate_count=-1)
         with pytest.raises(ValueError):
             KnotPolicy(selection="random")
         with pytest.raises(ValueError):

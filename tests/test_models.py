@@ -5,6 +5,7 @@ fixed-step RK4 step-doubling ladder the package used before its dense-output
 solver, and scipy's DOP853 at tight tolerances when scipy is installed.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -151,6 +152,12 @@ class TestGLVField:
         # the entry reads its dimension and names from the model its factory builds
         assert (spec.dim, spec.param_names) == (2, ("a1", "a2", "a3", "b1", "b2", "b3"))
         assert get_model_spec("custom-linear-partial").param_names == ("th1", "th2")
+
+    def test_parameter_count_is_read_from_the_names(self):
+        model = glv_field()
+        assert model.n_params == len(model.param_names) == 6
+        with pytest.raises(TypeError):
+            dataclasses.replace(model, n_params=6)
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
@@ -463,11 +470,9 @@ class TestTrajectoryIO:
             Trajectory(times=np.array([]), states=np.zeros((0, 1)))
 
     def test_partially_linear_container(self):
-        sys = PartiallyLinearSystem(
-            d_obs=1,
-            d_hidden=1,
-            g=lambda u, v, eta: v,
-            h=lambda u, eta: eta[0] * u,
-            n_eta=1,
-        )
-        assert sys.d_obs == 1
+        sys = PartiallyLinearSystem(d_hidden=1, g=lambda u, v, eta: v, h=lambda u, eta: eta[0] * u)
+        assert sys.d_hidden == 1
+        # the observed and parameter dimensions come from the fit and eta0, not from fields
+        for removed in ("d_obs", "n_eta"):
+            with pytest.raises(TypeError):
+                PartiallyLinearSystem(d_hidden=1, g=sys.g, h=sys.h, **{removed: 1})
