@@ -8,8 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage or configuration problem (including a
 negative knot count, --theta-init for a model declared linear, an mc --jobs
-below 1, or a rank-deficient first-step spline fit), 3 simulation failure
-(trajectory blow-up), 4 identifiability failure, 5 too many failed
+below 1, an mc label that is not a plain file name, an output path that
+cannot be written, or a rank-deficient first-step spline fit), 3 simulation
+failure (trajectory blow-up), 4 identifiability failure, 5 too many failed
 replications.
 """
 
@@ -19,7 +20,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from .errors import (
@@ -73,6 +74,15 @@ def _parse_fixed_pairs(pairs) -> dict:
         except ValueError:
             raise ConfigError(f"--theta-fixed value for {name!r} is not a number: {value!r}")
     return fixed
+
+
+@contextmanager
+def _output(path):
+    """An output path that cannot be written is a usage problem (exit 2), not a traceback."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigError(f"cannot write {str(path)!r}: {err.strerror or err}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,7 +148,8 @@ def cmd_simulate(args) -> int:
     except BlowupError as err:
         print(f"error: simulation failed: {err}", file=sys.stderr)
         return EXIT_SIMULATION
-    write_trajectory_csv(Trajectory(times, ys), args.out)
+    with _output(args.out):
+        write_trajectory_csv(Trajectory(times, ys), args.out)
     print(f"wrote {times.size} observations to {args.out}")
     return EXIT_OK
 
@@ -204,7 +215,8 @@ def cmd_fit(args) -> int:
     print(f"criterion: {estimate.criterion_value:.6g}")
     print(f"jstar condition: {estimate.jstar_condition:.6g}")
     if args.out:
-        write_report(estimate, args.out)
+        with _output(args.out):
+            write_report(estimate, args.out)
         print(f"report written to {args.out}")
     return EXIT_OK
 
@@ -238,6 +250,11 @@ def load_mc_config(path) -> dict:
         raise ConfigError(f"missing config keys: {', '.join(sorted(missing))}")
     if not isinstance(raw["n_list"], list) or not raw["n_list"]:
         raise ConfigError("n_list must be a nonempty list of sample sizes")
+    label = raw.get("label", "experiment")
+    if not (isinstance(label, str) and label and Path(label).name == label):
+        raise ConfigError(f"label must be a nonempty file name without a path separator, got {label!r}")
+    if not isinstance(raw.get("raw_dump", False), bool):
+        raise ConfigError(f"raw_dump must be true or false, got {raw['raw_dump']!r}")
     return raw
 
 
@@ -268,7 +285,8 @@ def cmd_mc(args) -> int:
         configs.append(config)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _output(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     label = raw.get("label", "experiment")
 
     tables = []

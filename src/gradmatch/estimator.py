@@ -3,15 +3,16 @@
 Step one fits a regression spline to the data (see splines.py).  Step two
 chooses the vector-field parameters minimizing
 
-    ( integral of |x-hat'(t) - F(t, x-hat(t), theta)|^q w(t) dt )^(1/q)
+    ( integral of |x-hat'(t) - F(t, x-hat(t), theta)|^2 w(t) dt )^(1/2),
 
-over theta, computed by composite trapezoid quadrature on a grid that includes
-every spline knot.  No ODE is solved during estimation.  For fields linear in
-the free parameters the q = 2 minimizer has a closed form; otherwise a damped
-Gauss-Newton loop is used.  The diagnostics quantify how first-step error
-propagates: the criterion Hessian J* measures local identifiability, and two
-linear functionals of the path error (a smooth integral part and a boundary
-part) give the leading term of theta-hat - theta*.
+the weighted L^2 discrepancy, over theta, computed by composite trapezoid
+quadrature on a grid that includes every spline knot.  No ODE is solved during
+estimation.  For fields linear in the free parameters the minimizer has a
+closed form; otherwise a damped Gauss-Newton loop runs from the caller's
+start.  The diagnostics quantify how first-step error propagates: the
+criterion Hessian J* measures local identifiability, and two linear
+functionals of the path error (a smooth integral part and a boundary part)
+give the leading term of theta-hat - theta*.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .models import PartiallyLinearSystem, Trajectory, VectorFieldModel, duhamel
 from .splines import SV_CUTOFF, SplineFit, eval_fit, eval_fit_derivative
 
 _SINGULAR_CONDITION = 1e10
+_MAX_ITER = 200
 
 WEIGHT_NAMES = ("boundary", "uniform")
 
@@ -60,21 +62,19 @@ class WeightFunction:
         return WeightFunction(interval, (1.0, 1.0))
 
     @staticmethod
-    def boundary_vanishing(interval: tuple[float, float], ramp_fraction: float = 0.05) -> "WeightFunction":
+    def boundary_vanishing(interval: tuple[float, float]) -> "WeightFunction":
         """w that is 0 at both endpoints with linear ramps to 1.
 
-        The default ramp covers 5% of the interval at each end (on [0, 20]:
-        w(0) = 0, w(1) = 1, w(19) = 1, w(20) = 0).
+        Each ramp covers 5% of the interval (on [0, 20]: w(0) = 0, w(1) = 1,
+        w(19) = 1, w(20) = 0).
         """
         lo, hi = interval
-        if not 0.0 < ramp_fraction < 0.5:
-            raise ValueError("ramp_fraction must be in (0, 0.5)")
-        ramp = ramp_fraction * (hi - lo)
+        ramp = 0.05 * (hi - lo)
         return WeightFunction((lo, lo + ramp, hi - ramp, hi), (0.0, 1.0, 1.0, 0.0))
 
     @staticmethod
     def named(name: str, interval: tuple[float, float]) -> "WeightFunction":
-        """The weight ``name`` in WEIGHT_NAMES stands for: "boundary" (the default ramp) or "uniform"."""
+        """The weight ``name`` in WEIGHT_NAMES stands for: "boundary" (the 5% ramps) or "uniform"."""
         if name == "boundary":
             return WeightFunction.boundary_vanishing(interval)
         if name == "uniform":
@@ -84,15 +84,12 @@ class WeightFunction:
 
 @dataclass(frozen=True)
 class CriterionConfig:
-    """Exponent, weight, and quadrature resolution of the criterion."""
+    """Weight and quadrature resolution of the criterion."""
 
     weight: WeightFunction
-    q: float = 2.0
     quad_nodes: int = 1024
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"criterion exponent must be >= 1, got {self.q}")
         if self.quad_nodes < 64:
             raise ValueError(f"quad_nodes must be >= 64, got {self.quad_nodes}")
 
@@ -163,14 +160,13 @@ def _criterion_parts(sample: _PathSample, model: VectorFieldModel, theta, config
     resid = _residuals(sample, model, theta)
     if resid is None:
         return np.inf, np.full(sample.x.shape[1], np.inf)
-    q = config.q
     dw = sample.delta * config.weight(sample.nodes)
-    value = float(np.sum(dw * np.linalg.norm(resid, axis=1) ** q) ** (1.0 / q))
-    return value, np.sum(dw[:, None] * np.abs(resid) ** q, axis=0) ** (1.0 / q)
+    value = float(np.sum(dw * np.linalg.norm(resid, axis=1) ** 2.0) ** 0.5)
+    return value, np.sum(dw[:, None] * np.abs(resid) ** 2.0, axis=0) ** 0.5
 
 
 def criterion(fit: SplineFit, model: VectorFieldModel, theta, config: CriterionConfig) -> float:
-    """Weighted L^q discrepancy between the spline derivative and the field.
+    """Weighted L^2 discrepancy between the spline derivative and the field.
 
     Non-finite field values on the grid give an infinite criterion rather than
     an exception, so a search can treat them as a rejected trial.
@@ -179,9 +175,9 @@ def criterion(fit: SplineFit, model: VectorFieldModel, theta, config: CriterionC
 
 
 def criterion_components(fit: SplineFit, model: VectorFieldModel, theta, config: CriterionConfig) -> np.ndarray:
-    """Per-dimension split of the criterion: component i integrates |resid_i|^q.
+    """Per-dimension split of the criterion: component i integrates |resid_i|^2.
 
-    The q-th powers of the components sum to the q-th power of criterion().
+    The squares of the components sum to the square of criterion().
     """
     return _criterion_parts(_sample_path(fit, config), model, theta, config)[1]
 
@@ -226,7 +222,7 @@ def _free_jacobian(model: VectorFieldModel, ts, x, theta) -> np.ndarray:
 
 
 def _solve_linear(sample: _PathSample, model: VectorFieldModel, weight: WeightFunction, basis) -> np.ndarray:
-    """Closed-form minimizer of the discretized q = 2 criterion, free entries.
+    """Closed-form minimizer of the discretized criterion, free entries.
 
     For a linear model F = D2F theta_free + F(theta_free = 0); ``basis`` is the
     free D2F on the sample and the field at theta_free = 0 is the offset.
@@ -281,7 +277,7 @@ def _estimate(sample, model, theta, jac, config, converged, iterations) -> TwoSt
     )
 
 
-def _damped_gauss_newton(residual, jacobian, z0, max_iter: int):
+def _damped_gauss_newton(residual, jacobian, z0):
     """Minimize |residual(z)|^2 by Gauss-Newton with Levenberg damping.
 
     residual(z) returns the residual vector, or None where it cannot be
@@ -290,8 +286,9 @@ def _damped_gauss_newton(residual, jacobian, z0, max_iter: int):
     at 1e-3, shrinks x0.1 (floor 1e-12) on an accepted step and grows x10 on a
     rejected one.  An accepted step with norm < 1e-10 or relative decrease
     < 1e-12 ends the loop as converged; damping past 1e12 ends it too, the
-    current point being a numerical minimum.  Returns (z, |r|^2, converged,
-    iterations), or None when z0 itself is not evaluable.
+    current point being a numerical minimum.  _MAX_ITER iterations end it
+    unconverged.  Returns (z, |r|^2, converged, iterations), or None when z0
+    itself is not evaluable.
     """
     z = z0
     r = residual(z)
@@ -301,7 +298,7 @@ def _damped_gauss_newton(residual, jacobian, z0, max_iter: int):
     lam = 1e-3
     iterations = 0
     converged = False
-    while iterations < max_iter and z.size:
+    while iterations < _MAX_ITER and z.size:
         iterations += 1
         jac = jacobian(z, r)
         normal = jac.T @ jac
@@ -336,7 +333,7 @@ def _damped_gauss_newton(residual, jacobian, z0, max_iter: int):
 
 
 def fit_linear_in_theta(fit: SplineFit, model: VectorFieldModel, config: CriterionConfig) -> TwoStepEstimate:
-    """Exact minimizer for fields affine in the free parameters (q = 2).
+    """Exact minimizer for fields affine in the free parameters.
 
     The discretized criterion is a weighted linear least-squares problem in
     theta_free; it is solved through an SVD of the sqrt(w * delta)-scaled
@@ -345,8 +342,6 @@ def fit_linear_in_theta(fit: SplineFit, model: VectorFieldModel, config: Criteri
     """
     if not model.linear:
         raise ValueError("model is not declared linear in its parameters")
-    if config.q != 2:
-        raise ValueError("closed form requires q = 2")
     return _fit_linear(_sample_path(fit, config), model, config)
 
 
@@ -358,37 +353,20 @@ def _fit_linear(sample, model, config) -> TwoStepEstimate:
     return _estimate(sample, model, theta, jac, config, converged=True, iterations=0)
 
 
-def fit_nonlinear(
-    fit: SplineFit,
-    model: VectorFieldModel,
-    theta_init=None,
-    config: CriterionConfig = None,
-    max_iter: int = 200,
-    starts=None,
-) -> TwoStepEstimate:
-    """Damped Gauss-Newton minimization of the discretized q = 2 criterion.
+def fit_nonlinear(fit: SplineFit, model: VectorFieldModel, theta_init, config: CriterionConfig) -> TwoStepEstimate:
+    """Damped Gauss-Newton minimization of the discretized criterion from theta_init.
 
-    theta_init defaults to the closed-form solution when the model is linear
-    in its free parameters.  ``starts`` may give extra full-length initial
-    vectors; each is polished and the best final criterion wins.  Convergence:
-    accepted step norm < 1e-10 or relative criterion decrease < 1e-12.  A
-    non-finite trial criterion rejects the step and increases damping.
+    theta_init is a full-length parameter vector; its fixed entries are
+    replaced by the model's.  Convergence: accepted step norm < 1e-10 or
+    relative criterion decrease < 1e-12.  A non-finite trial criterion rejects
+    the step and increases damping.  A start where the criterion is not finite
+    is returned as the estimate, with converged False and iterations 0.
     """
-    if config is None:
-        raise ValueError("config is required")
-    if config.q != 2:
-        raise ValueError("Gauss-Newton fitting requires q = 2")
-    if theta_init is None and not model.linear:
-        raise ValueError("theta_init is required for models not declared linear")
-    return _fit_nonlinear(_sample_path(fit, config), model, theta_init, config, max_iter, starts)
+    return _fit_nonlinear(_sample_path(fit, config), model, theta_init, config)
 
 
-def _fit_nonlinear(sample, model, theta_init, config, max_iter=200, starts=None) -> TwoStepEstimate:
-    """fit_nonlinear on a sample of the fit, without the input checks."""
-    if theta_init is None:
-        basis = _free_jacobian(model, sample.nodes, sample.x, _assemble_theta(model, 0.0))
-        theta_init = _assemble_theta(model, _solve_linear(sample, model, config.weight, basis))
-
+def _fit_nonlinear(sample, model, theta_init, config) -> TwoStepEstimate:
+    """fit_nonlinear on a sample of the fit."""
     scale = np.sqrt(config.weight(sample.nodes) * sample.delta)
     free = model.free_indices
 
@@ -401,31 +379,24 @@ def _fit_nonlinear(sample, model, theta_init, config, max_iter=200, starts=None)
         jac = _free_jacobian(model, sample.nodes, sample.x, _assemble_theta(model, z))
         return -(scale[:, None, None] * jac).reshape(r.size, free.size)
 
-    def run(theta0):
-        z0 = np.asarray(theta0, dtype=float)[free]
-        # an unevaluable start loses to every evaluable one
-        return _damped_gauss_newton(residual, jacobian, z0, max_iter) or (z0, np.inf, False, 0)
-
-    candidates = [theta_init] + (list(starts) if starts is not None else [])
-    z, _, converged, iterations = min((run(t0) for t0 in candidates), key=lambda item: item[1])
+    z0 = np.asarray(theta_init, dtype=float)[free]
+    z, _, converged, iterations = _damped_gauss_newton(residual, jacobian, z0) or (z0, np.inf, False, 0)
     theta = _assemble_theta(model, z)
     jac = _free_jacobian(model, sample.nodes, sample.x, theta)
     return _estimate(sample, model, theta, jac, config, converged, iterations)
 
 
 def estimate_weights(fit: SplineFit, model: VectorFieldModel, criteria: dict, theta_init=None) -> dict:
-    """One estimate per named q = 2 criterion, every one read off one sample of the fit.
+    """One estimate per named criterion, every one read off one sample of the fit.
 
     The sample depends only on quad_nodes, which the criteria must share.  A
     model declared linear takes the closed form of fit_linear_in_theta; any
     other takes the Gauss-Newton loop of fit_nonlinear from ``theta_init``.
-    ValueError for no criteria, mixed quad_nodes, q != 2, or a model not
-    declared linear without ``theta_init``.
+    ValueError for no criteria, mixed quad_nodes, or a model not declared
+    linear without ``theta_init``.
     """
     if len({crit.quad_nodes for crit in criteria.values()}) != 1:
         raise ValueError("need at least one criterion, all with the same quad_nodes")
-    if any(crit.q != 2 for crit in criteria.values()):
-        raise ValueError("estimate_weights requires q = 2")
     if theta_init is None and not model.linear:
         raise ValueError("theta_init is required for models not declared linear")
     sample = _sample_path(fit, next(iter(criteria.values())))
@@ -580,7 +551,6 @@ def fit_partially_observed(
     config: CriterionConfig,
     estimate_a: bool = True,
     estimate_v0: bool = True,
-    max_iter: int = 200,
 ) -> PartialObservationEstimate:
     """Estimate (eta, A, v0) when only the u-block is observed.
 
@@ -591,8 +561,6 @@ def fit_partially_observed(
     step and increases damping.  d_hidden = 0 degenerates to an ordinary
     fully observed nonlinear fit.
     """
-    if config.q != 2:
-        raise ValueError("Gauss-Newton fitting requires q = 2")
     nodes, delta, u, udot = _sample_path(u_fit, config)
     scale = np.sqrt(config.weight(nodes) * delta)
     d2 = system.d_hidden
@@ -660,7 +628,7 @@ def fit_partially_observed(
                 jac[:, i] = (rp - r) / h
         return jac
 
-    result = _damped_gauss_newton(safe_residual, jacobian, z0, max_iter)
+    result = _damped_gauss_newton(safe_residual, jacobian, z0)
     if result is None:
         raise ValueError("initial point is not evaluable (hidden state blow-up?)")
     z, sq, converged, iterations = result

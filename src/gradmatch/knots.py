@@ -1,9 +1,10 @@
 """Data-driven knot selection by generalized cross-validation.
 
 The selector scores cubic-spline knot subsets with GCV, using effective
-parameter count 3m + 1 for m interior knots, and walks the subsets of a
-uniform candidate grid with alternating elimination and addition sweeps.  All
-state dimensions share the knots; their residual sums pool into one score.
+parameter count 3m + 1 for m interior knots (the cubic charge of Friedman and
+Silverman, 1989), and walks the subsets of a uniform candidate grid with
+alternating elimination and addition sweeps.  All state dimensions share the
+knots; their residual sums pool into one score.
 
 Every subset S of the candidate grid spans a subspace of the full grid's
 spline space: B_S = B_grid T_S.  T_S comes from sampling S's B-splines at the
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from . import splines
 # sample-size brackets for the default candidate count
 _COUNT_TABLE = ((20, 15), (30, 15), (50, 20), (100, 30))
 _MIN_OBSERVATIONS = 10
+_MAX_SWEEPS = 10
 
 
 @dataclass(frozen=True)
@@ -55,23 +58,19 @@ class KnotPolicy:
 
     candidate_count None means "derive from the sample size"; 0 gives the
     knot-free cubic.  selection is either "elim-add" (GCV-guided subset walk)
-    or "fixed-uniform" (use the full uniform grid as-is).
+    or "fixed-uniform" (use the full uniform grid as-is).  The splines are
+    cubic (order 4), the order the 3m + 1 charge is for.
     """
 
+    order: ClassVar[int] = 4
     candidate_count: int | None = None
-    order: int = 4
     selection: str = "elim-add"
-    max_sweeps: int = 10
 
     def __post_init__(self):
         if self.candidate_count is not None and self.candidate_count < 0:
             raise ValueError(f"candidate_count must be >= 0, got {self.candidate_count}")
-        if self.order < 2:
-            raise ValueError(f"order must be >= 2, got {self.order}")
         if self.selection not in ("elim-add", "fixed-uniform"):
             raise ValueError(f"unknown selection rule {self.selection!r}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
 
 
 @dataclass(frozen=True)
@@ -79,9 +78,9 @@ class SelectionResult:
     """Outcome of a knot search: chosen subset, its score, and bookkeeping.
 
     trials counts the knot subsets the search scored; sweeps counts its
-    elimination-and-addition rounds (at most the policy's max_sweeps).  fit
-    is the least-squares spline on the chosen knots, equal to
-    fit_least_squares there; it is left out of comparisons.
+    elimination-and-addition rounds (at most ten).  fit is the least-squares
+    spline on the chosen knots, equal to fit_least_squares there; it is left
+    out of comparisons.
     """
 
     selected_knots: tuple[float, ...]
@@ -330,13 +329,13 @@ class _NestedSpace:
         return self._scores(subset, [sorted(idx + [j]) for j in pool], len(idx) + 1, nested)
 
 
-def elim_add(times, y, interval, candidate_count: int, order: int = 4, max_sweeps: int = 10) -> SelectionResult:
-    """Greedy subset walk over a uniform candidate grid, guided by GCV.
+def elim_add(times, y, interval, candidate_count: int) -> SelectionResult:
+    """Greedy subset walk over a uniform candidate grid of cubic knots, guided by GCV.
 
     Starts from the full grid.  An elimination sweep repeatedly drops the knot
     whose removal lowers GCV the most; an addition sweep puts back the dropped
     knot that lowers it the most.  Sweeps alternate until neither changes the
-    subset or max_sweeps is hit.  While the current subset has too many
+    subset or ten sweeps have run.  While the current subset has too many
     effective parameters for the sample (score undefined, treated as +inf),
     elimination is forced so the walk always reaches scoreable territory.
     Ties break toward the smaller knot index, so the walk is deterministic.
@@ -350,13 +349,13 @@ def elim_add(times, y, interval, candidate_count: int, order: int = 4, max_sweep
     if ys.ndim == 1:
         ys = ys[:, None]
     grid = uniform_knots(interval, candidate_count)
-    space = _NestedSpace(ts, ys, interval, grid, order)
+    space = _NestedSpace(ts, ys, interval, grid, KnotPolicy.order)
     current = space.factor(list(range(candidate_count)))
     current_score = space.score(current)
     best_subset, best_score = current.idx, current_score
 
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         changed = False
 
         while current.idx:
@@ -394,13 +393,13 @@ def elim_add(times, y, interval, candidate_count: int, order: int = 4, max_sweep
         raise DegreesOfFreedomError(
             f"no scoreable knot subset for n = {ts.size} and {candidate_count} candidates"
         )
-    return _selection(ts, ys, interval, grid, best_subset, order, trials=space.trials, sweeps=sweeps)
+    return _selection(ts, ys, interval, grid, best_subset, trials=space.trials, sweeps=sweeps)
 
 
-def _selection(ts, ys, interval, grid, idx, order, trials, sweeps=0) -> SelectionResult:
-    """The result for the grid knots idx: their fit and GCV (+inf when 3m + 1 >= n) from one solve."""
+def _selection(ts, ys, interval, grid, idx, trials, sweeps=0) -> SelectionResult:
+    """The result for the grid knots idx: their cubic fit and GCV (+inf when 3m + 1 >= n) from one solve."""
     chosen = tuple(float(v) for v in grid[np.asarray(idx, dtype=int)])
-    fit, rss = splines._least_squares(BSplineBasis(KnotSequence(interval, chosen, order)), ts, ys)
+    fit, rss = splines._least_squares(BSplineBasis(KnotSequence(interval, chosen, KnotPolicy.order)), ts, ys)
     d = effective_params(len(chosen))
     return SelectionResult(
         selected_knots=chosen,
@@ -420,5 +419,5 @@ def select_knots(times, y, interval, policy: KnotPolicy) -> SelectionResult:
     if policy.selection == "fixed-uniform":
         ys = np.asarray(y, dtype=float)
         ys = ys[:, None] if ys.ndim == 1 else ys
-        return _selection(ts, ys, interval, uniform_knots(interval, count), range(count), policy.order, trials=1)
-    return elim_add(ts, y, interval, count, policy.order, policy.max_sweeps)
+        return _selection(ts, ys, interval, uniform_knots(interval, count), range(count), trials=1)
+    return elim_add(ts, y, interval, count)

@@ -65,11 +65,6 @@ class KnotSequence:
         lo, hi = self.interval
         return np.concatenate(([lo], self.interior_knots, [hi]))
 
-    @property
-    def mesh(self) -> float:
-        """Largest spacing between adjacent breakpoints."""
-        return float(np.max(np.diff(self.breakpoints)))
-
 
 def augment_knots(knots: KnotSequence) -> np.ndarray:
     """Augmented knot vector: each endpoint repeated ``order`` times.

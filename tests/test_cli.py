@@ -136,6 +136,11 @@ class TestSimulate:
     def test_bad_numeric_flag_exits_2(self, tmp_path):
         assert main(simulate_args(tmp_path / "x.csv", theta="a,b,c,d,e,f")) == 2
 
+    def test_out_under_a_regular_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert main(simulate_args(tmp_path / "file" / "x.csv")) == 2
+        assert "cannot write" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def case1_n500(tmp_path_factory):
@@ -311,6 +316,12 @@ class TestFit:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "none.csv"), "--model", "glv"]) == 2
 
+    def test_out_under_a_regular_file_exits_2(self, case1_n500, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "r.json"
+        assert main(["fit", "--data", str(case1_n500), "--model", "glv", "--knots", "10", "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
     def test_degenerate_data_exits_4(self, tmp_path):
         # first state identically zero kills the x-equation design block and
         # the cross column of the y-equation, so the problem is unidentifiable
@@ -457,6 +468,26 @@ class TestMonteCarlo:
         assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "o"), "--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"label": "sub/x"}, {"label": ""}, {"label": 5}, {"raw_dump": "no"}],
+        ids=lambda override: json.dumps(override),
+    )
+    def test_bad_label_or_raw_dump_runs_nothing(self, tmp_path, override, capsys):
+        config = write_mc_config(tmp_path / "config.json", **override)
+        out_dir = tmp_path / "o"
+        assert main(["mc", "--config", str(config), "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert next(iter(override)) in captured.err and "done" not in captured.out
+        assert not out_dir.exists()
+
+    def test_out_dir_under_a_regular_file_runs_nothing(self, tmp_path, capsys):
+        config = write_mc_config(tmp_path / "config.json")
+        (tmp_path / "file").write_text("")
+        assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "file" / "o")]) == 2
+        captured = capsys.readouterr()
+        assert "cannot write" in captured.err and "done" not in captured.out
 
     def test_quad_nodes_below_the_criterion_minimum_exits_2(self, tmp_path, capsys):
         config = write_mc_config(tmp_path / "config.json", quad_nodes=10)

@@ -448,12 +448,13 @@ class TestMatchesReferenceWalk:
         assert elim_add(times, y, (0.0, 1.0), 9) == want
         assert len(calls) > 1  # trials of rank-deficient subsets, scored one by one
 
-    def test_sweeps_bounded_by_max_sweeps(self):
+    def test_sweeps_bounded_by_max_sweeps(self, monkeypatch):
         rng = np.random.default_rng(10)
         times = np.linspace(0.0, 1.0, 120)
         y = np.sin(6 * times) + 0.2 * rng.normal(size=120)
         for max_sweeps in (1, 2, 10):
-            got = elim_add(times, y, (0.0, 1.0), 12, max_sweeps=max_sweeps)
+            monkeypatch.setattr(knots, "_MAX_SWEEPS", max_sweeps)
+            got = elim_add(times, y, (0.0, 1.0), 12)
             assert 1 <= got.sweeps <= max_sweeps
             assert got == reference_elim_add(times, y, (0.0, 1.0), 12, max_sweeps=max_sweeps)
 
@@ -507,10 +508,6 @@ class TestSelectKnots:
             KnotPolicy(candidate_count=-1)
         with pytest.raises(ValueError):
             KnotPolicy(selection="random")
-        with pytest.raises(ValueError):
-            KnotPolicy(max_sweeps=0)
-        with pytest.raises(ValueError):
-            KnotPolicy(order=1)
 
     @pytest.mark.parametrize("selection", ["elim-add", "fixed-uniform"])
     @pytest.mark.parametrize("n", [20, 50, 100, 200, 500, 1000])

@@ -139,10 +139,6 @@ class TestKnotSequence:
         with pytest.raises(InvalidKnotsError):
             KnotSequence((0.0, 1.0), (), 1)
 
-    def test_mesh(self):
-        ks = KnotSequence((0.0, 1.0), (0.1, 0.5), 4)
-        assert ks.mesh == pytest.approx(0.5)
-
 
 class TestBasisEvaluation:
     @pytest.mark.parametrize("ks", CASES)
