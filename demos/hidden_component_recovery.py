@@ -50,7 +50,6 @@ def main():
         a0=np.zeros((1, 1)),
         v0_guess=np.array([0.0]),
         config=CriterionConfig(weight=WeightFunction.boundary_vanishing(interval)),
-        estimate_a=False,
         estimate_v0=True,
     )
 

@@ -50,10 +50,10 @@ EXIT_IDENTIFIABILITY = 4
 EXIT_REPLICATION_FAILURES = 5
 
 _MC_REQUIRED_KEYS = {"schema", "model", "theta_star", "x0", "n_list", "replications", "seed"}
-_MC_OPTIONAL_KEYS = {"fixed", "sigma", "t_end", "weights", "label", "raw_dump", "quad_nodes"}
+_MC_OPTIONAL_KEYS = {"fixed", "sigma", "t_end", "weights", "label", "raw_dump"}
 # config keys that are not ExperimentConfig fields, and the fields that must be integers
 _MC_RUN_KEYS = {"schema", "n_list", "label", "raw_dump"}
-_MC_INTEGER_KEYS = {"replications", "seed", "quad_nodes"}
+_MC_INTEGER_KEYS = {"replications", "seed"}
 
 
 def _float_list(text: str, flag: str) -> list[float]:

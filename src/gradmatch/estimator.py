@@ -30,6 +30,7 @@ from .splines import SV_CUTOFF, SplineFit, eval_fit, eval_fit_derivative
 
 _SINGULAR_CONDITION = 1e10
 _MAX_ITER = 200
+_QUAD_NODES = 1024  # uniform quadrature nodes, merged with the knots
 
 WEIGHT_NAMES = ("boundary", "uniform")
 
@@ -84,22 +85,15 @@ class WeightFunction:
 
 @dataclass(frozen=True)
 class CriterionConfig:
-    """Weight and quadrature resolution of the criterion."""
+    """Weight of the criterion."""
 
     weight: WeightFunction
-    quad_nodes: int = 1024
-
-    def __post_init__(self):
-        if self.quad_nodes < 64:
-            raise ValueError(f"quad_nodes must be >= 64, got {self.quad_nodes}")
 
 
-def quadrature_grid(fit: SplineFit, config: CriterionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes (uniform grid merged with all knots) and trapezoid weights."""
+def quadrature_grid(fit: SplineFit) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes (1024 uniform nodes merged with all knots) and trapezoid weights."""
     lo, hi = fit.basis.interval
-    nodes = np.union1d(
-        np.linspace(lo, hi, config.quad_nodes), np.asarray(fit.basis.knots.interior_knots)
-    )
+    nodes = np.union1d(np.linspace(lo, hi, _QUAD_NODES), np.asarray(fit.basis.knots.interior_knots))
     return nodes, 0.5 * _neighbour_spans(nodes)
 
 
@@ -131,7 +125,7 @@ def _interp_rows(grid, values, t):
 class _PathSample(NamedTuple):
     """A fit on its quadrature grid: nodes, trapezoid weights, x-hat, x-hat'.
 
-    It depends on the fit and ``quad_nodes`` only, not on the weight, so every
+    It depends on the fit only, not on the weight, so every
     weight's estimate and criterion can read the same sample (x-hat' is None
     in the public diagnostics' samples).
     """
@@ -142,9 +136,9 @@ class _PathSample(NamedTuple):
     xdot: np.ndarray
 
 
-def _sample_path(fit: SplineFit, config: CriterionConfig) -> _PathSample:
+def _sample_path(fit: SplineFit) -> _PathSample:
     """The estimator's one evaluation of the spline path on the quadrature grid."""
-    nodes, delta = quadrature_grid(fit, config)
+    nodes, delta = quadrature_grid(fit)
     return _PathSample(nodes, delta, eval_fit(fit, nodes), eval_fit_derivative(fit, nodes))
 
 
@@ -171,7 +165,7 @@ def criterion(fit: SplineFit, model: VectorFieldModel, theta, config: CriterionC
     Non-finite field values on the grid give an infinite criterion rather than
     an exception, so a search can treat them as a rejected trial.
     """
-    return _criterion_parts(_sample_path(fit, config), model, theta, config)[0]
+    return _criterion_parts(_sample_path(fit), model, theta, config)[0]
 
 
 def criterion_components(fit: SplineFit, model: VectorFieldModel, theta, config: CriterionConfig) -> np.ndarray:
@@ -179,7 +173,7 @@ def criterion_components(fit: SplineFit, model: VectorFieldModel, theta, config:
 
     The squares of the components sum to the square of criterion().
     """
-    return _criterion_parts(_sample_path(fit, config), model, theta, config)[1]
+    return _criterion_parts(_sample_path(fit), model, theta, config)[1]
 
 
 @dataclass(frozen=True)
@@ -342,7 +336,7 @@ def fit_linear_in_theta(fit: SplineFit, model: VectorFieldModel, config: Criteri
     """
     if not model.linear:
         raise ValueError("model is not declared linear in its parameters")
-    return _fit_linear(_sample_path(fit, config), model, config)
+    return _fit_linear(_sample_path(fit), model, config)
 
 
 def _fit_linear(sample, model, config) -> TwoStepEstimate:
@@ -362,7 +356,7 @@ def fit_nonlinear(fit: SplineFit, model: VectorFieldModel, theta_init, config: C
     the step and increases damping.  A start where the criterion is not finite
     is returned as the estimate, with converged False and iterations 0.
     """
-    return _fit_nonlinear(_sample_path(fit, config), model, theta_init, config)
+    return _fit_nonlinear(_sample_path(fit), model, theta_init, config)
 
 
 def _fit_nonlinear(sample, model, theta_init, config) -> TwoStepEstimate:
@@ -389,17 +383,16 @@ def _fit_nonlinear(sample, model, theta_init, config) -> TwoStepEstimate:
 def estimate_weights(fit: SplineFit, model: VectorFieldModel, criteria: dict, theta_init=None) -> dict:
     """One estimate per named criterion, every one read off one sample of the fit.
 
-    The sample depends only on quad_nodes, which the criteria must share.  A
-    model declared linear takes the closed form of fit_linear_in_theta; any
+    A model declared linear takes the closed form of fit_linear_in_theta; any
     other takes the Gauss-Newton loop of fit_nonlinear from ``theta_init``.
-    ValueError for no criteria, mixed quad_nodes, or a model not declared
-    linear without ``theta_init``.
+    ValueError for no criteria, or a model not declared linear without
+    ``theta_init``.
     """
-    if len({crit.quad_nodes for crit in criteria.values()}) != 1:
-        raise ValueError("need at least one criterion, all with the same quad_nodes")
+    if not criteria:
+        raise ValueError("need at least one criterion")
     if theta_init is None and not model.linear:
         raise ValueError("theta_init is required for models not declared linear")
-    sample = _sample_path(fit, next(iter(criteria.values())))
+    sample = _sample_path(fit)
     if model.linear:
         return {name: _fit_linear(sample, model, crit) for name, crit in criteria.items()}
     return {name: _fit_nonlinear(sample, model, theta_init, crit) for name, crit in criteria.items()}
@@ -532,10 +525,9 @@ def linearization_residual(
 
 @dataclass(frozen=True)
 class PartialObservationEstimate:
-    """Result of estimating (eta, A, v0) from the observed block alone."""
+    """Result of estimating (eta, v0) from the observed block alone."""
 
     eta: np.ndarray
-    a_matrix: np.ndarray
     v0: np.ndarray
     criterion_value: float
     converged: bool
@@ -549,19 +541,19 @@ def fit_partially_observed(
     a0,
     v0_guess,
     config: CriterionConfig,
-    estimate_a: bool = True,
     estimate_v0: bool = True,
 ) -> PartialObservationEstimate:
-    """Estimate (eta, A, v0) when only the u-block is observed.
+    """Estimate (eta, v0) when only the u-block is observed, with A held at a0.
 
     The hidden block is reconstructed by the variation-of-constants recursion
-    with forcing H(u-hat(t); eta), and (eta, vec(A), v0) is chosen by damped
+    v' = a0 v + H(u-hat(t); eta), and (eta, v0) is chosen by damped
     Gauss-Newton on the weighted residuals u-hat' - G(u-hat, v-hat, eta), with
-    forward-difference Jacobians.  A hidden-state blow-up rejects the trial
-    step and increases damping.  d_hidden = 0 degenerates to an ordinary
-    fully observed nonlinear fit.
+    forward-difference Jacobians (backward where the forward probe is not
+    evaluable).  With estimate_v0 False, v0 is held at v0_guess.  A
+    hidden-state blow-up rejects the trial step and increases damping.
+    d_hidden = 0 degenerates to an ordinary fully observed nonlinear fit.
     """
-    nodes, delta, u, udot = _sample_path(u_fit, config)
+    nodes, delta, u, udot = _sample_path(u_fit)
     scale = np.sqrt(config.weight(nodes) * delta)
     d2 = system.d_hidden
 
@@ -570,31 +562,18 @@ def fit_partially_observed(
     v00 = np.atleast_1d(np.asarray(v0_guess, dtype=float)).reshape(d2)
 
     n_eta = eta0.size
-    pieces = [eta0]
-    if estimate_a:
-        pieces.append(a0.reshape(-1))
-    if estimate_v0:
-        pieces.append(v00)
-    z0 = np.concatenate(pieces) if pieces else np.zeros(0)
+    z0 = np.concatenate([eta0, v00]) if estimate_v0 else eta0
 
     def unpack(z):
-        eta = z[:n_eta]
-        pos = n_eta
-        if estimate_a:
-            a = z[pos : pos + d2 * d2].reshape(d2, d2)
-            pos += d2 * d2
-        else:
-            a = a0
-        v0 = z[pos : pos + d2] if estimate_v0 else v00
-        return eta, a, v0
+        return z[:n_eta], (z[n_eta:] if estimate_v0 else v00)
 
     def residual(z):
-        eta, a, v0 = unpack(z)
+        eta, v0 = unpack(z)
         if d2 > 0:
             forcing = lambda t: np.asarray(
                 system.h(_interp_rows(nodes, u, t), eta), dtype=float
             )
-            v = duhamel_solve(a, forcing, v0, nodes)
+            v = duhamel_solve(a0, forcing, v0, nodes)
         else:
             v = np.zeros((nodes.size, 0))
         g = np.asarray(system.g(u, v, eta), dtype=float)
@@ -632,10 +611,9 @@ def fit_partially_observed(
     if result is None:
         raise ValueError("initial point is not evaluable (hidden state blow-up?)")
     z, sq, converged, iterations = result
-    eta, a, v0 = unpack(z)
+    eta, v0 = unpack(z)
     return PartialObservationEstimate(
         eta=eta.copy(),
-        a_matrix=np.array(a, dtype=float),
         v0=np.array(v0, dtype=float),
         criterion_value=float(np.sqrt(sq)),
         converged=converged,

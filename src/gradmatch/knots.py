@@ -122,8 +122,8 @@ def _gcv(rss, n: int, num_knots: int):
     return np.sum(rss / n, axis=-1) / (1.0 - effective_params(num_knots) / n) ** 2
 
 
-def gcv_score(times, y, knot_subset, order: int = 4, interval=None) -> float:
-    """GCV score of a knot subset: [(1/n) RSS] / (1 - d/n)^2 summed over dims.
+def gcv_score(times, y, knot_subset, order: int, interval) -> float:
+    """GCV score of a knot subset of the interval: [(1/n) RSS] / (1 - d/n)^2 summed over dims.
 
     d = 3m + 1 must stay below n or the denominator is meaningless; that case
     raises DegreesOfFreedomError.
@@ -136,8 +136,6 @@ def gcv_score(times, y, knot_subset, order: int = 4, interval=None) -> float:
     d = effective_params(len(knot_subset))
     if d >= n:
         raise DegreesOfFreedomError(f"effective parameters {d} >= sample size {n}")
-    if interval is None:
-        interval = (float(ts[0]), float(ts[-1]))
     basis = BSplineBasis(KnotSequence(interval, tuple(knot_subset), order))
     return float(_gcv(splines._least_squares(basis, ts, ys)[1], n, len(knot_subset)))
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BlowupError, EmptyInputError, InvalidMatrixError
 
-DEFAULT_BLOWUP_NORM = 1e8
+_BLOWUP_NORM = 1e8  # a solved state larger than this in magnitude has escaped
 
 # parameter layout of the generalized Lotka-Volterra field
 GLV_PARAM_NAMES = ("a1", "a2", "a3", "b1", "b2", "b3")
@@ -234,10 +234,10 @@ class Trajectory:
         object.__setattr__(self, "states", xs)
 
 
-def _escaped(state, blowup_norm) -> bool:
+def _escaped(state, bound) -> bool:
     """True when a state has a non-finite entry or one above the bound in magnitude."""
     size = np.abs(state).max(initial=0.0)  # NaN if any entry is NaN
-    return not size <= blowup_norm or size == np.inf
+    return not size <= bound or size == np.inf
 
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince 1980): nodes, stage weights,
@@ -312,8 +312,7 @@ def _initial_step(fun, t0, x0, f0, scale) -> float:
     return h if h > 0 else h0
 
 
-def dense_solve(model, theta, x0, t0: float, t_end: float, tol: float = 1e-8,
-                blowup_norm: float = DEFAULT_BLOWUP_NORM) -> DenseSolution:
+def dense_solve(model, theta, x0, t0: float, t_end: float, tol: float = 1e-8) -> DenseSolution:
     """Solve x' = f(t, x, theta) from (t0, x0) past t_end by Dormand-Prince 5(4).
 
     Each step's local error estimate is held below 0.01 * tol * (1 + |x|),
@@ -326,7 +325,7 @@ def dense_solve(model, theta, x0, t0: float, t_end: float, tol: float = 1e-8,
     A trial step with a non-finite error estimate is rejected and retried
     shorter; overflow and invalid-value warnings are silenced during the
     solve, since such a step is not an error.  An accepted state that is not
-    finite or exceeds ``blowup_norm``, a non-finite f(x0), or a step shrunk
+    finite or exceeds 1e8 in magnitude, a non-finite f(x0), or a step shrunk
     below ten ulps of t raises BlowupError with the escape time.
     """
     if not tol > 0:
@@ -366,9 +365,9 @@ def dense_solve(model, theta, x0, t0: float, t_end: float, tol: float = 1e-8,
                 states.append(x)
                 coefficients.append(_DP_P @ stages)
                 t, x, f = t + h, x_new, f_new
-                if _escaped(x, blowup_norm):
+                if _escaped(x, _BLOWUP_NORM):
                     raise BlowupError(
-                        f"trajectory exceeded norm bound {blowup_norm:g} near t = {t:.6g}",
+                        f"trajectory exceeded norm bound {_BLOWUP_NORM:g} near t = {t:.6g}",
                         escape_time=t,
                     )
                 factor = 10.0 if ratio == 0.0 else min(10.0, 0.9 * ratio**-0.2)
@@ -384,7 +383,7 @@ def dense_solve(model, theta, x0, t0: float, t_end: float, tol: float = 1e-8,
     return DenseSolution(*arrays, t)
 
 
-def integrate(model, theta, x0, t_grid, tol: float = 1e-8, blowup_norm: float = DEFAULT_BLOWUP_NORM) -> Trajectory:
+def integrate(model, theta, x0, t_grid, tol: float = 1e-8) -> Trajectory:
     """States of the model on t_grid, from x0 at t_grid[0], by ``dense_solve``.
 
     ``tol`` bounds the error of the returned states: each step's local error
@@ -398,7 +397,7 @@ def integrate(model, theta, x0, t_grid, tol: float = 1e-8, blowup_norm: float = 
     ts = np.asarray(t_grid, dtype=float)
     if ts.size < 2:
         raise EmptyInputError("integration grid needs at least two points")
-    solution = dense_solve(model, theta, x0, ts[0], ts[-1], tol=tol, blowup_norm=blowup_norm)
+    solution = dense_solve(model, theta, x0, ts[0], ts[-1], tol=tol)
     return Trajectory(times=ts, states=solution(ts))
 
 
@@ -438,7 +437,6 @@ def duhamel_solve(
     v0,
     t_grid,
     substeps: int = 8,
-    blowup_norm: float = DEFAULT_BLOWUP_NORM,
 ) -> np.ndarray:
     """Solve v' = A v + f(t) by the variation-of-constants recursion.
 
@@ -447,6 +445,8 @@ def duhamel_solve(
     f(s_{i+1})) with E = exp(h A) computed once per distinct step size.
     forcing maps a scalar time to a vector (batched array input is used when
     the callable supports it).  Returns states at the grid nodes, (m, d).
+    A state that is not finite or exceeds 1e8 in magnitude raises
+    BlowupError with the escape time.
     """
     a = np.asarray(a_matrix, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -482,9 +482,9 @@ def duhamel_solve(
             f0 = fvals[pos + j]
             f1 = fvals[pos + j + 1]
             v = emat @ v + 0.5 * h * (emat @ f0 + f1)
-            if _escaped(v, blowup_norm):
+            if _escaped(v, _BLOWUP_NORM):
                 raise BlowupError(
-                    f"hidden state exceeded norm bound {blowup_norm:g}",
+                    f"hidden state exceeded norm bound {_BLOWUP_NORM:g}",
                     escape_time=float(nodes[pos + j + 1]),
                 )
         out[i + 1] = v

@@ -30,6 +30,7 @@ NOISE_PURPOSE = 1
 KS_PURPOSE = 2
 
 _KS_SEED = 0x4C494C  # fixed internal seed for the normality-test null table
+_KS_RESAMPLES = 2000  # same-size null samples behind each critical value
 _KS_BLOCK = 8192  # values per block of the null table; the whole table in one block inflates _phi's object array
 _TRUTH_TOL = 1e-10
 _FINE_GRID = 2001
@@ -82,7 +83,6 @@ class ExperimentConfig:
     weights: tuple[str, ...] = WEIGHT_NAMES
     replications: int = 1000
     seed: int = 0
-    quad_nodes: int = 1024
 
     def __post_init__(self):
         spec = get_model_spec(self.model)
@@ -111,10 +111,11 @@ class ExperimentConfig:
                 )
         if self.n < 10:
             raise ValueError(f"need n >= 10 observations, got {self.n}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        # written so that NaN fails the tests too
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end!r}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.seed < 0:
@@ -122,7 +123,7 @@ class ExperimentConfig:
         if not self.weights:
             raise ValueError("need at least one weight variant")
         for name in self.weights:
-            CriterionConfig(self.weight_function(name), quad_nodes=self.quad_nodes)  # the criterion's own checks
+            self.weight_function(name)  # an unknown name raises ValueError
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -200,10 +201,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
         diff = eval_fit(fit, fine_ts) - fine_truth
         curve_rmse = np.sqrt(np.trapezoid(diff**2, fine_ts, axis=0))
 
-        crits = {
-            name: CriterionConfig(weight=config.weight_function(name), quad_nodes=config.quad_nodes)
-            for name in config.weights
-        }
+        crits = {name: CriterionConfig(weight=config.weight_function(name)) for name in config.weights}
         estimates = estimate_weights(fit, model, crits, theta_init=config.theta_star)
         for name, est in estimates.items():
             if not est.converged or not np.all(np.isfinite(est.theta_hat)):
@@ -264,12 +262,12 @@ def _ks_critical_value(n: int, resamples: int) -> float:
     return float(np.quantile(np.concatenate(stats), 0.95))
 
 
-def ks_normality(samples, resamples: int = 2000) -> KSResult:
+def ks_normality(samples) -> KSResult:
     """Kolmogorov-Smirnov normality check with estimated mean and variance.
 
     The sample is standardized by its own mean and standard deviation, so the
     classical critical values do not apply; instead the null distribution of
-    the statistic is simulated with ``resamples`` same-size standard normal
+    the statistic is simulated with 2000 same-size standard normal
     samples (each re-standardized the same way).  Needs at least 50 points.
     """
     x = np.asarray(samples, dtype=float)
@@ -279,7 +277,7 @@ def ks_normality(samples, resamples: int = 2000) -> KSResult:
     if x.std(ddof=1) <= 1e-12 * max(np.max(np.abs(x)), 1e-300):
         raise DegenerateSampleError("sample has zero variance")
     stat = float(_lilliefors_statistic(x))
-    crit = _ks_critical_value(x.size, resamples)
+    crit = _ks_critical_value(x.size, _KS_RESAMPLES)
     return KSResult(statistic=stat, critical_value=crit, reject=stat > crit, sample_size=x.size)
 
 
@@ -404,7 +402,7 @@ def _fmt_vector(vec, width: int = 7, prec: int = 4) -> str:
     return "(" + ", ".join(f"{v:{width}.{prec}f}" for v in np.atleast_1d(vec)) + ")"
 
 
-def summary_text(tables, param_names=None) -> str:
+def summary_text(tables) -> str:
     """Aligned text report over a list of experiments (typically one per n).
 
     Sections mirror the usual simulation-study layout: parameter means and
@@ -415,9 +413,8 @@ def summary_text(tables, param_names=None) -> str:
     if not tables:
         return "(no experiments)\n"
     model = tables[0].config.build_model()
-    if param_names is None:
-        param_names = [model.param_names[i] for i in model.free_indices]
     free = model.free_indices
+    param_names = [model.param_names[i] for i in free]
     lines = []
     lines.append(f"Model: {tables[0].config.model}   free parameters: {', '.join(param_names)}")
     lines.append("")

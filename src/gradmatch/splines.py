@@ -234,9 +234,9 @@ def eval_fit(fit: SplineFit, t) -> np.ndarray:
     return eval_basis(fit.basis, t) @ fit.coefficients.T
 
 
-def eval_fit_derivative(fit: SplineFit, t, r: int = 1) -> np.ndarray:
-    """r-th derivative of the fitted path at ``t``."""
-    return eval_basis_derivative(fit.basis, t, r) @ fit.coefficients.T
+def eval_fit_derivative(fit: SplineFit, t) -> np.ndarray:
+    """First derivative of the fitted path at ``t``."""
+    return eval_basis_derivative(fit.basis, t) @ fit.coefficients.T
 
 
 def _normal_matrix_pinv(fit: SplineFit) -> np.ndarray:
@@ -272,37 +272,37 @@ class LinearFunctional:
     interval: tuple[float, float]
     weight_path: Callable
 
-    def value(self, path: Callable, num_nodes: int = 4097) -> float:
-        """Apply the functional to a path by composite trapezoid quadrature."""
-        ts = np.linspace(self.interval[0], self.interval[1], num_nodes)
+    def value(self, path: Callable) -> float:
+        """Apply the functional to a path by composite trapezoid quadrature on 4097 nodes."""
+        ts = np.linspace(self.interval[0], self.interval[1], 4097)
         a = np.atleast_2d(np.asarray(self.weight_path(ts), dtype=float))
         x = np.atleast_2d(np.asarray(path(ts), dtype=float))
         return float(np.trapezoid(np.sum(a * x, axis=1), ts))
 
 
-def _span_refined_grid(knots: KnotSequence, per_span: int = 64) -> np.ndarray:
-    """Breakpoint-aware grid with ``per_span`` trapezoid cells per span."""
+def _span_refined_grid(knots: KnotSequence) -> np.ndarray:
+    """Breakpoint-aware grid with 64 trapezoid cells per span."""
     bps = knots.breakpoints
-    pieces = [np.linspace(bps[i], bps[i + 1], per_span + 1) for i in range(len(bps) - 1)]
+    pieces = [np.linspace(bps[i], bps[i + 1], 65) for i in range(len(bps) - 1)]
     return np.unique(np.concatenate(pieces))
 
 
-def functional_coefficients(fit: SplineFit, functional: LinearFunctional, per_span: int = 64) -> np.ndarray:
+def functional_coefficients(fit: SplineFit, functional: LinearFunctional) -> np.ndarray:
     """gamma = integral of B(s) a(s)' ds, shape (K, d); trapezoid on a knot-aware grid."""
-    grid = _span_refined_grid(fit.basis.knots, per_span)
+    grid = _span_refined_grid(fit.basis.knots)
     bvals = eval_basis(fit.basis, grid)
     avals = np.atleast_2d(np.asarray(functional.weight_path(grid), dtype=float))
     # integrate each product column over the grid
     return np.trapezoid(bvals[:, :, None] * avals[:, None, :], grid, axis=0)
 
 
-def functional_variance(fit: SplineFit, functional: LinearFunctional, per_span: int = 64) -> np.ndarray:
+def functional_variance(fit: SplineFit, functional: LinearFunctional) -> np.ndarray:
     """Plug-in variance matrix of the functional applied to the fit, d x d diagonal.
 
     Entry (i, i) is sigma2_i * gamma_i' (design'design)^+ gamma_i where gamma_i
     integrates basis * a_i.
     """
-    gamma = functional_coefficients(fit, functional, per_span)
+    gamma = functional_coefficients(fit, functional)
     pinv = _normal_matrix_pinv(fit)
     quad = np.einsum("ki,kl,li->i", gamma, pinv, gamma)
     return np.diag(fit.residual_variance * quad)

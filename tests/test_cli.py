@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -133,8 +134,15 @@ class TestSimulate:
         args = simulate_args(tmp_path / "boom.csv", theta="0,-1.5,1,1.5,1,-1.5", x0="4,2")
         assert main(args) == 3
 
-    def test_bad_numeric_flag_exits_2(self, tmp_path):
-        assert main(simulate_args(tmp_path / "x.csv", theta="a,b,c,d,e,f")) == 2
+    # an infinite --t-end would send the truth solve on forever
+    @pytest.mark.parametrize(
+        "flag, value", [("--theta", "a,b,c,d,e,f"), ("--t-end", "inf"), ("--t-end", "nan"), ("--sigma", "nan")]
+    )
+    def test_bad_numeric_flag_exits_2(self, tmp_path, flag, value, capsys):
+        # the flag given last wins over the one simulate_args spells out
+        assert main(simulate_args(tmp_path / "x.csv") + [flag, value]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_out_under_a_regular_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
@@ -281,21 +289,10 @@ class TestFit:
         assert "504 spline coefficients" in captured.err and "n = 200" in captured.err
         assert "theta_hat" not in captured.out
 
-    def test_bad_fixed_pair_exits_2(self, case1_n500):
-        assert (
-            main(
-                [
-                    "fit",
-                    "--data",
-                    str(case1_n500),
-                    "--model",
-                    "glv",
-                    "--theta-fixed",
-                    "a1",
-                ]
-            )
-            == 2
-        )
+    @pytest.mark.parametrize("pair", ["a1", "a1=x"])
+    def test_bad_fixed_pair_exits_2(self, case1_n500, pair, capsys):
+        assert main(["fit", "--data", str(case1_n500), "--model", "glv", "--theta-fixed", pair]) == 2
+        assert "--theta-fixed" in capsys.readouterr().err
 
     def test_unknown_fixed_name_exits_2(self, case1_n500):
         assert (
@@ -313,8 +310,25 @@ class TestFit:
             == 2
         )
 
-    def test_missing_file_exits_2(self, tmp_path):
-        assert main(["fit", "--data", str(tmp_path / "none.csv"), "--model", "glv"]) == 2
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (None, "cannot read"),
+            ([[t, 1.0] for t in range(20)], "data has 1 state columns, model 'glv' needs 2"),
+            ([[t, 1.0, 2.0] for t in range(8)], "first-step fit failed: need at least 10 observations"),
+        ],
+        ids=["missing file", "one state column", "too few observations for the knot search"],
+    )
+    def test_unusable_data_exits_2(self, tmp_path, rows, message, capsys):
+        path = tmp_path / "data.csv"
+        if rows is not None:
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["t"] + [f"y{i}" for i in range(1, len(rows[0]))])
+                writer.writerows(rows)
+        assert main(["fit", "--data", str(path), "--model", "glv"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "theta_hat" not in captured.out
 
     def test_out_under_a_regular_file_exits_2(self, case1_n500, tmp_path, capsys):
         (tmp_path / "file").write_text("")
@@ -366,7 +380,7 @@ class TestMonteCarlo:
             "seed": 11,
         }
         spelled = dict(required, fixed={}, sigma=0.2, t_end=20.0, weights=["boundary", "uniform"],
-                       quad_nodes=1024, label="experiment", raw_dump=False)
+                       label="experiment", raw_dump=False)
         for name, config in (("required", required), ("spelled", spelled)):
             (tmp_path / f"{name}.json").write_text(json.dumps(config))
             assert main(["mc", "--config", str(tmp_path / f"{name}.json"), "--out-dir", str(tmp_path / name)]) == 0
@@ -452,7 +466,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize(
         "override",
-        [{"seed": -1}, {"x0": [1.0]}, {"x0": [1.0, 2.0, 3.0]}],
+        [{"seed": -1}, {"x0": [1.0]}, {"x0": [1.0, 2.0, 3.0]}, {"t_end": math.inf}, {"sigma": math.nan}],
         ids=lambda override: json.dumps(override),
     )
     def test_out_of_range_value_exits_2(self, tmp_path, override, capsys):
@@ -471,10 +485,10 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize(
         "override",
-        [{"label": "sub/x"}, {"label": ""}, {"label": 5}, {"raw_dump": "no"}],
+        [{"label": "sub/x"}, {"label": ""}, {"label": 5}, {"raw_dump": "no"}, {"n_list": []}],
         ids=lambda override: json.dumps(override),
     )
-    def test_bad_label_or_raw_dump_runs_nothing(self, tmp_path, override, capsys):
+    def test_bad_label_raw_dump_or_n_list_runs_nothing(self, tmp_path, override, capsys):
         config = write_mc_config(tmp_path / "config.json", **override)
         out_dir = tmp_path / "o"
         assert main(["mc", "--config", str(config), "--out-dir", str(out_dir)]) == 2
@@ -489,10 +503,11 @@ class TestMonteCarlo:
         captured = capsys.readouterr()
         assert "cannot write" in captured.err and "done" not in captured.out
 
-    def test_quad_nodes_below_the_criterion_minimum_exits_2(self, tmp_path, capsys):
-        config = write_mc_config(tmp_path / "config.json", quad_nodes=10)
+    def test_quad_nodes_key_is_unknown_exits_2(self, tmp_path, capsys):
+        # the quadrature grid is fixed at 1024 nodes, so quad_nodes is not a config key
+        config = write_mc_config(tmp_path / "config.json", quad_nodes=1024)
         assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "o"), "--jobs", "2"]) == 2
-        assert "quad_nodes" in capsys.readouterr().err
+        assert "unknown config keys: quad_nodes" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path):
         config = write_mc_config(tmp_path / "config.json", bogus=1)
@@ -511,10 +526,18 @@ class TestMonteCarlo:
         config = write_mc_config(tmp_path / "config.json", schema=2)
         assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
 
-    def test_invalid_json_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{not json", "is not valid JSON"), ("[1, 2]", "must be a JSON object"), (None, "cannot read config")],
+        ids=["invalid JSON", "JSON array", "missing file"],
+    )
+    def test_unusable_config_file_exits_2(self, tmp_path, text, message, capsys):
         path = tmp_path / "c.json"
-        path.write_text("{not json")
+        if text is not None:
+            path.write_text(text)
         assert main(["mc", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_excessive_failures_exit_5(self, tmp_path, monkeypatch):
         import gradmatch.cli as cli

@@ -233,13 +233,6 @@ class TestWeightFunction:
             WeightFunction.named("flat", interval)
 
 
-class TestCriterionConfig:
-    def test_too_few_quad_nodes_rejected(self):
-        w = WeightFunction.uniform((0.0, 1.0))
-        with pytest.raises(ValueError):
-            CriterionConfig(weight=w, quad_nodes=32)
-
-
 class TestCriterion:
     def test_exact_solution_gives_zero(self):
         # a straight line solves x' = theta for theta = slope, exactly
@@ -323,7 +316,7 @@ class TestFitLinear:
         model = case1_model()
         config = CriterionConfig(weight=WeightFunction.boundary_vanishing((0.0, 20.0)))
 
-        nodes, delta = quadrature_grid(fit, config)
+        nodes, delta = quadrature_grid(fit)
         w = config.weight(nodes)
         from gradmatch import eval_fit, eval_fit_derivative
 
@@ -364,7 +357,7 @@ class TestFitLinear:
         config = CriterionConfig(weight=w)
 
         est = fit_linear_in_theta(fit, model, config)
-        nodes, delta = quadrature_grid(fit, config)
+        nodes, delta = quadrature_grid(fit)
         x = estimator.eval_fit(fit, nodes)
         basis, offset = (f(nodes, x) for f in glv_decomposition(model.fixed_mask, model.fixed_values))
         oracle = svd_solve(nodes, delta, estimator.eval_fit_derivative(fit, nodes), w, basis, offset)
@@ -474,7 +467,7 @@ class TestFitNonlinear:
 
         from gradmatch import eval_fit, eval_fit_derivative
 
-        nodes, delta = quadrature_grid(fit, config)
+        nodes, delta = quadrature_grid(fit)
         w = config.weight(nodes)
         gv = g(nodes, eval_fit(fit, nodes))[:, 0]
         xdot = eval_fit_derivative(fit, nodes)[:, 0]
@@ -510,7 +503,7 @@ class TestEstimateFromOneSample:
         config = CriterionConfig(weight=w)
         est = ESTIMATORS[name](fit, model, config)
         theta = est.theta_hat
-        nodes, _ = quadrature_grid(fit, config)
+        nodes, _ = quadrature_grid(fit)
         jstar, cond = criterion_hessian(fit, model, theta, w, nodes)
         assert est.criterion_value == criterion(fit, model, theta, config)
         np.testing.assert_array_equal(est.jstar, jstar)
@@ -567,7 +560,7 @@ class TestEstimateFromOneSample:
         config = CriterionConfig(weight=WeightFunction.uniform((0.0, 20.0)))
         model, rows = logged_param_jacobian(case1_model())
         fit_linear_in_theta(fit, model, config)
-        nodes, _ = quadrature_grid(fit, config)
+        nodes, _ = quadrature_grid(fit)
         # J*, gamma_s and gamma_b share one call on the grid
         assert rows == [nodes.size]
 
@@ -603,10 +596,7 @@ class TestEstimateWeights:
     @staticmethod
     def study_fits(design, n, reps=2):
         config = ExperimentConfig(model="glv", n=n, replications=reps, seed=20260815, **DESIGNS[design])
-        criteria = {
-            name: CriterionConfig(weight=config.weight_function(name), quad_nodes=config.quad_nodes)
-            for name in config.weights
-        }
+        criteria = {name: CriterionConfig(weight=config.weight_function(name)) for name in config.weights}
         for rep in range(reps):
             times, ys = simulate_data(config, rep)
             yield rep, select_knots(times, ys, config.interval, config.knot_policy).fit, config, criteria
@@ -633,18 +623,10 @@ class TestEstimateWeights:
             for name, crit in criteria.items():
                 assert_same_estimate(got[name], fit_nonlinear(fit, model, start, crit), (rep, name))
 
-    @pytest.mark.parametrize(
-        "criteria",
-        [
-            {"a": CriterionConfig(UNIFORM_20), "b": CriterionConfig(UNIFORM_20, quad_nodes=512)},
-            {},
-        ],
-        ids=["mixed quad_nodes", "no criteria"],
-    )
-    def test_criteria_that_cannot_share_one_sample_raise(self, criteria):
+    def test_no_criteria_raise(self):
         for theta_init in (None, THETA_CASE1):
             with pytest.raises(ValueError):
-                estimate_weights(noisy_case1_fit(), case1_model(), criteria, theta_init)
+                estimate_weights(noisy_case1_fit(), case1_model(), {}, theta_init)
 
     def test_other_model_needs_a_start(self):
         model = dataclasses.replace(case1_model(), linear=False)
@@ -897,7 +879,6 @@ class TestFitPartiallyObserved:
             a0=np.zeros((0, 0)),
             v0_guess=np.zeros(0),
             config=config,
-            estimate_a=False,
             estimate_v0=False,
         )
         np.testing.assert_allclose(est.eta, reference.theta_hat[free], atol=1e-5)
@@ -913,7 +894,6 @@ class TestFitPartiallyObserved:
             a0=np.zeros((1, 1)),
             v0_guess=np.array([0.0]),
             config=config,
-            estimate_a=False,
             estimate_v0=True,
         )
         assert abs(est.eta[0] - omega_sq) / omega_sq < 0.05
@@ -930,12 +910,11 @@ class TestFitPartiallyObserved:
         with pytest.raises(IndexError, match="bug in the observed field"):
             fit_partially_observed(
                 fit, system, eta0=np.array([1.0]), a0=np.zeros((1, 1)), v0_guess=np.array([0.5]),
-                config=config, estimate_a=False,
+                config=config,
             )
 
     def test_blowup_in_a_trial_step_is_rejected(self):
         fit, config = oscillator_fit()
-        config = dataclasses.replace(config, quad_nodes=128)
         base = oscillator_system()
         calls = []
 
@@ -948,11 +927,34 @@ class TestFitPartiallyObserved:
 
         kwargs = dict(
             eta0=np.array([1.0]), a0=np.zeros((1, 1)), v0_guess=np.array([0.5]), config=config,
-            estimate_a=False, estimate_v0=False,
+            estimate_v0=False,
         )
         est = fit_partially_observed(fit, dataclasses.replace(base, g=g), **kwargs)
         reference = fit_partially_observed(fit, base, **kwargs)
         assert len(calls) > 3
+        assert est.converged
+        np.testing.assert_allclose(est.eta, reference.eta, rtol=1e-6)
+
+    def test_jacobian_falls_back_to_a_backward_difference(self):
+        fit, config = oscillator_fit()
+        base = oscillator_system()
+        start = 2.0  # above the true 1.69, so the search moves down, away from the blow-up
+        calls = []
+
+        def g(u, v, eta):
+            calls.append(eta[0])
+            if eta[0] > start:
+                raise BlowupError("hidden state exceeded norm bound", escape_time=1.0)
+            return base.g(u, v, eta)
+
+        kwargs = dict(
+            eta0=np.array([start]), a0=np.zeros((1, 1)), v0_guess=np.array([0.5]), config=config,
+            estimate_v0=False,
+        )
+        est = fit_partially_observed(fit, dataclasses.replace(base, g=g), **kwargs)
+        reference = fit_partially_observed(fit, base, **kwargs)
+        # call 1 is the start; the forward probe (call 2) fails, so call 3 probes backward
+        assert calls[1] > start > calls[2]
         assert est.converged
         np.testing.assert_allclose(est.eta, reference.eta, rtol=1e-6)
 
@@ -983,7 +985,7 @@ class TestFitPartiallyObserved:
 
         system = PartiallyLinearSystem(d_hidden=1, g=g_capture, h=h)
         config = CriterionConfig(weight=WeightFunction.boundary_vanishing((0.0, 8.0)))
-        nodes, delta = quadrature_grid(fit, config)
+        nodes, delta = quadrature_grid(fit)
         captured["nodes"] = nodes
 
         est = fit_partially_observed(
@@ -993,7 +995,6 @@ class TestFitPartiallyObserved:
             a0=a_true,
             v0_guess=v0_true,
             config=config,
-            estimate_a=False,
             estimate_v0=False,
         )
 

@@ -246,7 +246,7 @@ class TestIntegrate:
                 return np.array([bad if t > 0.5 else 1.0])
 
         with pytest.raises(BlowupError) as err:
-            integrate(_Breaks(), np.zeros(0), [0.0], np.linspace(0.0, 1.0, 11), blowup_norm=np.inf)
+            integrate(_Breaks(), np.zeros(0), [0.0], np.linspace(0.0, 1.0, 11))
         assert 0.5 < err.value.escape_time <= 0.6
 
     def test_needs_two_grid_points(self):
@@ -320,7 +320,7 @@ class TestDenseSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BlowupError) as err:
-                dense_solve(_Breaks(), np.zeros(0), [0.0], 0.0, 1.0, blowup_norm=np.inf)
+                dense_solve(_Breaks(), np.zeros(0), [0.0], 0.0, 1.0)
         assert 0.5 < err.value.escape_time <= 0.6
 
 
@@ -425,7 +425,7 @@ class TestDuhamel:
     def test_non_finite_state_is_a_blowup_without_a_norm_bound(self):
         forcing = lambda t: np.array([np.inf if t > 0.5 else 0.0])
         with pytest.raises(BlowupError) as err:
-            duhamel_solve(np.array([[-0.5]]), forcing, [1.0], np.linspace(0.0, 1.0, 11), blowup_norm=np.inf)
+            duhamel_solve(np.array([[-0.5]]), forcing, [1.0], np.linspace(0.0, 1.0, 11))
         assert 0.5 < err.value.escape_time <= 0.6
 
     def test_scalar_only_forcing_falls_back_to_pointwise_calls(self):

@@ -1,6 +1,7 @@
 """Tests for the simulation harness: streams, replications, aggregation."""
 
 import csv
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -14,6 +15,7 @@ from gradmatch import (
     DegenerateSampleError,
     ExperimentConfig,
     ExperimentError,
+    IdentifiabilityError,
     KnotPolicy,
     KnotSequence,
     BSplineBasis,
@@ -135,6 +137,10 @@ class TestExperimentConfig:
             case1_config(sigma=-0.1)
         with pytest.raises(ValueError):
             case1_config(t_end=0.0)
+        # an infinite t_end would send the truth solve on forever
+        for override in ({"t_end": math.inf}, {"t_end": math.nan}, {"sigma": math.inf}, {"sigma": math.nan}):
+            with pytest.raises(ValueError, match=f"{next(iter(override))} must be finite"):
+                case1_config(**override)
         with pytest.raises(ValueError):
             case1_config(replications=0)
         with pytest.raises(ValueError):
@@ -266,7 +272,7 @@ class TestRunReplication:
             fit = fit_least_squares(basis, times, ys)
             for name in config.weights:
                 weight = config.weight_function(name)
-                nodes, _ = quadrature_grid(fit, CriterionConfig(weight=weight, quad_nodes=config.quad_nodes))
+                nodes, _ = quadrature_grid(fit)
                 est = result.estimates[name]
                 gamma_b = boundary_functional(fit, model, est.theta_hat, weight)
                 gamma_s = smooth_functional(fit, model, est.theta_hat, weight, nodes)
@@ -282,7 +288,7 @@ class TestRunReplication:
         fit = fit_least_squares(basis, times, ys)
         model = config.build_model()
         for name in config.weights:
-            crit = CriterionConfig(weight=config.weight_function(name), quad_nodes=config.quad_nodes)
+            crit = CriterionConfig(weight=config.weight_function(name))
             est = result.estimates[name]
             np.testing.assert_array_equal(est.components, criterion_components(fit, model, est.theta_hat, crit))
             assert est.criterion_value == criterion(fit, model, est.theta_hat, crit)
@@ -295,6 +301,37 @@ class TestRunReplication:
         star = np.array(THETA_CASE1)
         for name in config.weights:
             assert np.max(np.abs(result.estimates[name].theta_hat - star)) < 1e-2
+
+    def test_failed_estimates_are_recorded(self, monkeypatch, tmp_path):
+        real = mc.estimate_weights
+        calls = []
+
+        def failing(fit, model, criteria, theta_init=None):
+            calls.append(None)
+            if len(calls) == 3:  # replication 2
+                raise IdentifiabilityError("free parameters are not identifiable along: +1.00*a2")
+            estimates = real(fit, model, criteria, theta_init)
+            if len(calls) == 6:  # replication 5: the second weight did not converge
+                estimates["uniform"] = dataclasses.replace(estimates["uniform"], converged=False)
+            return estimates
+
+        monkeypatch.setattr(mc, "estimate_weights", failing)
+        table = run_experiment(case1_config(n=50, replications=10))
+        assert table.n_failed == 2
+        assert table.failures == (
+            "IdentifiabilityError: free parameters are not identifiable along: +1.00*a2",
+            "non-converged (uniform)",
+        )
+        assert table.weight_summary("uniform").n_used == 8
+        write_raw_csv(table, tmp_path / "raw.csv")
+        with open(tmp_path / "raw.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(rows) == 2 * 8 + 2
+        assert all(len(row) == len(header) for row in rows)
+        failed = [row for row in rows if row[1] == "false"]
+        assert [row[0] for row in failed] == ["2", "5"]
+        assert [row[-1] for row in failed] == list(table.failures)
+        assert all(cell == "" for row in failed for cell in row[2:-1])
 
     def test_rank_deficient_spline_is_a_failure(self):
         # 30 uniform candidates give 34 cubic coefficients for 20 observations
@@ -457,9 +494,7 @@ class TestRunExperiment:
             fit = fit_least_squares(basis, times, ys)
             model = config.build_model()
             for name in config.weights:
-                crit = CriterionConfig(
-                    weight=config.weight_function(name), quad_nodes=config.quad_nodes
-                )
+                crit = CriterionConfig(weight=config.weight_function(name))
                 at_truth = criterion(fit, model, star, crit)
                 assert result.estimates[name].criterion_value <= at_truth + 1e-12
 
@@ -515,7 +550,7 @@ class TestKSNormality:
         trials = 300
         for _ in range(trials):
             sample = rng.standard_normal(100)
-            rejections += int(ks_normality(sample, resamples=500).reject)
+            rejections += int(ks_normality(sample).reject)
         rate = rejections / trials
         assert 0.02 <= rate <= 0.09
 
