@@ -26,7 +26,6 @@ from .errors import (
 from .splines import (
     BSplineBasis,
     KnotSequence,
-    LinearFunctional,
     SplineFit,
     augment_knots,
     design_matrix,
@@ -35,7 +34,6 @@ from .splines import (
     eval_fit,
     eval_fit_derivative,
     fit_least_squares,
-    functional_variance,
     pointwise_variance,
     truncated_power_design,
 )

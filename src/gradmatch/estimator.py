@@ -26,11 +26,10 @@ import numpy as np
 
 from .errors import GradMatchError, IdentifiabilityError, IdentifiabilityWarning
 from .models import PartiallyLinearSystem, Trajectory, VectorFieldModel, duhamel_solve
-from .splines import SV_CUTOFF, SplineFit, eval_fit, eval_fit_derivative
+from .splines import SV_CUTOFF, SplineFit, eval_fit, grid_table, quadrature_nodes
 
 _SINGULAR_CONDITION = 1e10
 _MAX_ITER = 200
-_QUAD_NODES = 1024  # uniform quadrature nodes, merged with the knots
 
 WEIGHT_NAMES = ("boundary", "uniform")
 
@@ -92,8 +91,7 @@ class CriterionConfig:
 
 def quadrature_grid(fit: SplineFit) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes (1024 uniform nodes merged with all knots) and trapezoid weights."""
-    lo, hi = fit.basis.interval
-    nodes = np.union1d(np.linspace(lo, hi, _QUAD_NODES), np.asarray(fit.basis.knots.interior_knots))
+    nodes = quadrature_nodes(fit.basis.knots)
     return nodes, 0.5 * _neighbour_spans(nodes)
 
 
@@ -137,9 +135,13 @@ class _PathSample(NamedTuple):
 
 
 def _sample_path(fit: SplineFit) -> _PathSample:
-    """The estimator's one evaluation of the spline path on the quadrature grid."""
+    """The estimator's one evaluation of the spline path on the quadrature grid, read off its grid's table."""
     nodes, delta = quadrature_grid(fit)
-    return _PathSample(nodes, delta, eval_fit(fit, nodes), eval_fit_derivative(fit, nodes))
+    knots, g = fit.grid_path
+    table_nodes, basis, slope = grid_table(knots)
+    rows = np.searchsorted(table_nodes, nodes)
+    assert np.array_equal(table_nodes[rows], nodes), "quadrature nodes outside the grid's table"
+    return _PathSample(nodes, delta, (basis @ g.T)[rows], (slope @ g.T)[rows])
 
 
 def _residuals(sample: _PathSample, model: VectorFieldModel, theta):

@@ -21,14 +21,14 @@ Gram-Schmidt column.  Each sweep is scored in one batch from q and C.
 `gcv_score` stays the definition and the oracle: it scores any sweep whose
 subset is rank-deficient, and a move from such a subset factors its
 successor afresh.  The chosen subset is solved once on the n rows; that one
-least-squares solve gives both the returned fit and its gcv_value.  The
+solve gives the fit, read in the grid's basis by T_S, and its gcv_value.  The
 grid-only tables (jumps, Greville sites, collocation inverse, truncated
 powers) are built once per grid and shared, read-only, by its searches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import ClassVar
 
@@ -79,8 +79,8 @@ class SelectionResult:
 
     trials counts the knot subsets the search scored; sweeps counts its
     elimination-and-addition rounds (at most ten).  fit is the least-squares
-    spline on the chosen knots, equal to fit_least_squares there; it is left
-    out of comparisons.
+    spline on the chosen knots, equal to fit_least_squares there, its path
+    in the candidate grid's basis; it is left out of comparisons.
     """
 
     selected_knots: tuple[float, ...]
@@ -182,9 +182,13 @@ def _grid_tables(basis: BSplineBasis) -> tuple[np.ndarray, ...]:
     collocate = np.linalg.inv(eval_basis(basis, sites))
     # column j: grid coefficients of the truncated power at grid[j]
     powers = collocate @ truncated_power_design(basis.interval, basis.knots.interior_knots, order, sites)[:, order:]
-    for table in (jumps, sites, collocate, powers):
-        table.setflags(write=False)
-    return jumps, sites, collocate, powers
+    return splines.read_only(jumps, sites, collocate, powers)
+
+
+def _refinement(grid_basis: BSplineBasis, basis: BSplineBasis) -> np.ndarray:
+    """T_S, with B_S = B_grid T_S: the grid coefficients of each B-spline of the subset basis B_S."""
+    _, sites, collocate, _ = _grid_tables(grid_basis)
+    return collocate @ eval_basis(basis, sites)
 
 
 def _orthogonalize(q, g):
@@ -205,18 +209,17 @@ class _NestedSpace:
         self.ts, self.ys, self.interval, self.grid, self.order = ts, ys, interval, grid, order
         self.n = ts.size
         self.trials = 0
-        basis = BSplineBasis(KnotSequence(interval, tuple(grid), order))
-        design = design_matrix(basis, ts)
+        self.basis = BSplineBasis(KnotSequence(interval, tuple(grid), order))
+        design = design_matrix(self.basis, ts)
         dim = design.shape[1]
         r = np.linalg.qr(np.hstack((design, ys)), mode="r")
         self.rb, self.ry = r[:, :dim], r[:, dim:]
-        self.jumps, self.sites, self.collocate, self.powers = _grid_tables(basis)
+        self.jumps, self.sites, self.collocate, self.powers = _grid_tables(self.basis)
         self.directions = self.rb @ self.powers
 
     def refinement(self, idx) -> np.ndarray:
-        """T_S, with B_S = B_grid T_S: the grid coefficients of each B-spline of S."""
-        basis = BSplineBasis(KnotSequence(self.interval, tuple(self.grid[idx]), self.order))
-        return self.collocate @ eval_basis(basis, self.sites)
+        """T_S of the subset idx (see _refinement)."""
+        return _refinement(self.basis, BSplineBasis(KnotSequence(self.interval, tuple(self.grid[idx]), self.order)))
 
     def _fit(self, q, coef) -> _Basis:
         qty = q.T @ self.ry
@@ -391,19 +394,23 @@ def elim_add(times, y, interval, candidate_count: int) -> SelectionResult:
         raise DegreesOfFreedomError(
             f"no scoreable knot subset for n = {ts.size} and {candidate_count} candidates"
         )
-    return _selection(ts, ys, interval, grid, best_subset, trials=space.trials, sweeps=sweeps)
+    return _selection(ts, ys, space.basis, best_subset, trials=space.trials, sweeps=sweeps)
 
 
-def _selection(ts, ys, interval, grid, idx, trials, sweeps=0) -> SelectionResult:
-    """The result for the grid knots idx: their cubic fit and GCV (+inf when 3m + 1 >= n) from one solve."""
-    chosen = tuple(float(v) for v in grid[np.asarray(idx, dtype=int)])
-    fit, rss = splines._least_squares(BSplineBasis(KnotSequence(interval, chosen, KnotPolicy.order)), ts, ys)
+def _selection(ts, ys, grid_basis, idx, trials, sweeps=0) -> SelectionResult:
+    """The grid knots idx: their cubic fit, its path in the grid's basis, and GCV (+inf when 3m + 1 >= n)."""
+    grid = grid_basis.knots.interior_knots
+    chosen = tuple(grid[i] for i in idx)
+    basis = BSplineBasis(KnotSequence(grid_basis.interval, chosen, KnotPolicy.order))
+    fit, rss = splines._least_squares(basis, ts, ys)
+    if len(chosen) < len(grid):
+        fit = replace(fit, grid=(grid_basis.knots, fit.coefficients @ _refinement(grid_basis, basis).T))
     d = effective_params(len(chosen))
     return SelectionResult(
         selected_knots=chosen,
         gcv_value=float(_gcv(rss, ts.size, len(chosen))) if d < ts.size else np.inf,
         effective_params=d,
-        candidates=tuple(float(v) for v in grid),
+        candidates=grid,
         trials=trials,
         sweeps=sweeps,
         fit=fit,
@@ -417,5 +424,6 @@ def select_knots(times, y, interval, policy: KnotPolicy) -> SelectionResult:
     if policy.selection == "fixed-uniform":
         ys = np.asarray(y, dtype=float)
         ys = ys[:, None] if ys.ndim == 1 else ys
-        return _selection(ts, ys, interval, uniform_knots(interval, count), range(count), trials=1)
+        grid_basis = BSplineBasis(KnotSequence(interval, tuple(uniform_knots(interval, count)), KnotPolicy.order))
+        return _selection(ts, ys, grid_basis, range(count), trials=1)
     return elim_add(ts, y, interval, count)

@@ -23,7 +23,7 @@ from .errors import DegenerateSampleError, ExperimentError, GradMatchError
 from .estimator import WEIGHT_NAMES, CriterionConfig, WeightFunction, estimate_weights
 from .knots import KnotPolicy, select_knots
 from .models import dense_solve, get_model_spec
-from .splines import eval_fit
+from .splines import FINE_POINTS, grid_table, read_only
 
 # substream purpose codes
 NOISE_PURPOSE = 1
@@ -33,7 +33,6 @@ _KS_SEED = 0x4C494C  # fixed internal seed for the normality-test null table
 _KS_RESAMPLES = 2000  # same-size null samples behind each critical value
 _KS_BLOCK = 8192  # values per block of the null table; the whole table in one block inflates _phi's object array
 _TRUTH_TOL = 1e-10
-_FINE_GRID = 2001
 _MAX_FAILURE_FRACTION = 0.2
 
 
@@ -155,11 +154,8 @@ def _truth_grids(config: ExperimentConfig):
     All four are read off the one solve of the design and are read-only.
     """
     solution = _truth_solution(config.model, config.fixed, config.theta_star, config.x0, config.t_end)
-    times, fine_ts = observation_times(config), np.linspace(0.0, config.t_end, _FINE_GRID)
-    grids = (times, solution(times), fine_ts, solution(fine_ts))
-    for array in grids:
-        array.setflags(write=False)
-    return grids
+    times, fine_ts = observation_times(config), np.linspace(0.0, config.t_end, FINE_POINTS)
+    return read_only(times, solution(times), fine_ts, solution(fine_ts))
 
 
 def simulate_data(config: ExperimentConfig, rep_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +194,10 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
             return ReplicationResult(rep_index, False, failure="rank-deficient first-step spline")
 
         _, _, fine_ts, fine_truth = _truth_grids(config)
-        diff = eval_fit(fit, fine_ts) - fine_truth
+        knots, g = fit.grid_path
+        points, basis = grid_table(knots, fine=True)
+        assert np.array_equal(points, fine_ts), "fine grid differs from the grid's table"
+        diff = basis @ g.T - fine_truth
         curve_rmse = np.sqrt(np.trapezoid(diff**2, fine_ts, axis=0))
 
         crits = {name: CriterionConfig(weight=config.weight_function(name)) for name in config.weights}

@@ -1,4 +1,4 @@
-"""B-spline bases, least-squares spline regression, and plug-in variance formulas.
+"""B-spline bases, least-squares spline regression, and the plug-in pointwise variance.
 
 The regression step fits each state dimension of a noisy time series by ordinary
 least squares on a shared B-spline basis.  The basis lives on an arbitrary
@@ -14,8 +14,9 @@ rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +29,8 @@ from .errors import (
 
 # Relative singular-value cutoff for every pseudoinverse / least-squares solve.
 SV_CUTOFF = 1e-12
+QUAD_NODES = 1024  # uniform nodes of the estimator's quadrature grid, merged with the knots
+FINE_POINTS = 2001  # uniform points of the Monte Carlo curve-error grid
 
 
 @dataclass(frozen=True)
@@ -177,7 +180,9 @@ class SplineFit:
     coefficients has one row per state dimension.  residual_variance is the
     per-dimension RSS / (n - K) estimate (zeros when n <= K).  rank_deficient
     flags a design matrix whose numerical rank fell below the basis dimension;
-    the minimum-norm solution is stored in that case.
+    the minimum-norm solution is stored in that case.  grid is (grid knots, g)
+    when the path is read in a larger grid's basis, x-hat = B_grid g'; it is
+    left out of comparisons, and None means the fit is its own grid.
     """
 
     basis: BSplineBasis
@@ -185,10 +190,16 @@ class SplineFit:
     residual_variance: np.ndarray
     times: np.ndarray
     rank_deficient: bool = False
+    grid: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.coefficients.shape[0]
+
+    @property
+    def grid_path(self) -> tuple[KnotSequence, np.ndarray]:
+        """(grid knots, g), the path x-hat = B_grid g'."""
+        return (self.basis.knots, self.coefficients) if self.grid is None else self.grid
 
 
 def _least_squares(basis: BSplineBasis, ts: np.ndarray, ys: np.ndarray) -> tuple[SplineFit, np.ndarray]:
@@ -231,12 +242,41 @@ def fit_least_squares(basis: BSplineBasis, times, observations) -> SplineFit:
 
 def eval_fit(fit: SplineFit, t) -> np.ndarray:
     """Fitted path at ``t``: (d,) for scalar t, (m, d) for an array."""
-    return eval_basis(fit.basis, t) @ fit.coefficients.T
+    knots, g = fit.grid_path
+    return eval_basis(BSplineBasis(knots), t) @ g.T
 
 
 def eval_fit_derivative(fit: SplineFit, t) -> np.ndarray:
     """First derivative of the fitted path at ``t``."""
-    return eval_basis_derivative(fit.basis, t) @ fit.coefficients.T
+    knots, g = fit.grid_path
+    return eval_basis_derivative(BSplineBasis(knots), t) @ g.T
+
+
+def read_only(*arrays) -> tuple:
+    """The arrays, made read-only, as a tuple."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def quadrature_nodes(knots: KnotSequence) -> np.ndarray:
+    """QUAD_NODES uniform nodes on the interval merged with the knots."""
+    return np.union1d(np.linspace(*knots.interval, QUAD_NODES), knots.interior_knots)
+
+
+@lru_cache(maxsize=16)
+def grid_table(knots: KnotSequence, fine: bool = False) -> tuple[np.ndarray, ...]:
+    """The basis of the grid ``knots`` tabulated read-only, once per grid, for every fit on it.
+
+    (nodes, B, B') on quadrature_nodes(knots), which hold the quadrature nodes of every fit on the grid;
+    with ``fine``, (points, B) on linspace(lo, hi, FINE_POINTS).  Rows hold eval_basis's bits.
+    """
+    basis = BSplineBasis(knots)
+    if fine:
+        points = np.linspace(*knots.interval, FINE_POINTS)
+        return read_only(points, eval_basis(basis, points))
+    nodes = quadrature_nodes(knots)
+    return read_only(nodes, eval_basis(basis, nodes), eval_basis_derivative(basis, nodes))
 
 
 def _normal_matrix_pinv(fit: SplineFit) -> np.ndarray:
@@ -259,53 +299,6 @@ def pointwise_variance(fit: SplineFit, t) -> np.ndarray:
     bvec = eval_basis(fit.basis, t)
     quad = np.einsum("...k,kl,...l->...", bvec, _normal_matrix_pinv(fit), bvec)
     return np.asarray(quad)[..., None] * fit.residual_variance
-
-
-@dataclass(frozen=True)
-class LinearFunctional:
-    """Integral functional x -> integral of a(s)' x(s) ds over an interval.
-
-    weight_path maps an array of m times to an (m, d) array (or a scalar time
-    to a (d,) vector).
-    """
-
-    interval: tuple[float, float]
-    weight_path: Callable
-
-    def value(self, path: Callable) -> float:
-        """Apply the functional to a path by composite trapezoid quadrature on 4097 nodes."""
-        ts = np.linspace(self.interval[0], self.interval[1], 4097)
-        a = np.atleast_2d(np.asarray(self.weight_path(ts), dtype=float))
-        x = np.atleast_2d(np.asarray(path(ts), dtype=float))
-        return float(np.trapezoid(np.sum(a * x, axis=1), ts))
-
-
-def _span_refined_grid(knots: KnotSequence) -> np.ndarray:
-    """Breakpoint-aware grid with 64 trapezoid cells per span."""
-    bps = knots.breakpoints
-    pieces = [np.linspace(bps[i], bps[i + 1], 65) for i in range(len(bps) - 1)]
-    return np.unique(np.concatenate(pieces))
-
-
-def functional_coefficients(fit: SplineFit, functional: LinearFunctional) -> np.ndarray:
-    """gamma = integral of B(s) a(s)' ds, shape (K, d); trapezoid on a knot-aware grid."""
-    grid = _span_refined_grid(fit.basis.knots)
-    bvals = eval_basis(fit.basis, grid)
-    avals = np.atleast_2d(np.asarray(functional.weight_path(grid), dtype=float))
-    # integrate each product column over the grid
-    return np.trapezoid(bvals[:, :, None] * avals[:, None, :], grid, axis=0)
-
-
-def functional_variance(fit: SplineFit, functional: LinearFunctional) -> np.ndarray:
-    """Plug-in variance matrix of the functional applied to the fit, d x d diagonal.
-
-    Entry (i, i) is sigma2_i * gamma_i' (design'design)^+ gamma_i where gamma_i
-    integrates basis * a_i.
-    """
-    gamma = functional_coefficients(fit, functional)
-    pinv = _normal_matrix_pinv(fit)
-    quad = np.einsum("ki,kl,li->i", gamma, pinv, gamma)
-    return np.diag(fit.residual_variance * quad)
 
 
 def truncated_power_design(interval: tuple[float, float], interior_knots, order: int, times) -> np.ndarray:

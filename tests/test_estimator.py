@@ -356,11 +356,13 @@ class TestFitLinear:
         w = WeightFunction.boundary_vanishing(interval) if weight == "boundary" else WeightFunction.uniform(interval)
         config = CriterionConfig(weight=w)
 
+        from gradmatch import eval_fit, eval_fit_derivative
+
         est = fit_linear_in_theta(fit, model, config)
         nodes, delta = quadrature_grid(fit)
-        x = estimator.eval_fit(fit, nodes)
+        x = eval_fit(fit, nodes)
         basis, offset = (f(nodes, x) for f in glv_decomposition(model.fixed_mask, model.fixed_values))
-        oracle = svd_solve(nodes, delta, estimator.eval_fit_derivative(fit, nodes), w, basis, offset)
+        oracle = svd_solve(nodes, delta, eval_fit_derivative(fit, nodes), w, basis, offset)
         assert est.theta_hat[model.free_indices].tobytes() == oracle.tobytes()
         assert est.theta_hat[CASE1_MASK].tobytes() == theta_star[CASE1_MASK].tobytes()
 
@@ -542,7 +544,7 @@ class TestEstimateFromOneSample:
 
             monkeypatch.setattr(estimator, name, wrapper)
 
-        for name in ("quadrature_grid", "eval_fit", "eval_fit_derivative"):
+        for name in ("quadrature_grid", "grid_table", "eval_fit"):
             counted(name)
         runs = {
             "closed form": lambda: fit_linear_in_theta(fit, model, config),
@@ -552,8 +554,8 @@ class TestEstimateFromOneSample:
         for label, run in runs.items():
             calls.clear()
             run()
-            # one sample of the grid, which gamma_b reads too
-            assert calls == {"quadrature_grid": 1, "eval_fit": 1, "eval_fit_derivative": 1}, label
+            # one sample of the grid, read off the grid's tables, which gamma_b reads too
+            assert calls == {"quadrature_grid": 1, "grid_table": 1}, label
 
     def test_closed_form_evaluates_param_jacobian_once_on_the_grid(self):
         fit = noisy_case1_fit()

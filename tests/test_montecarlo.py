@@ -5,6 +5,8 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -28,6 +30,7 @@ from gradmatch import (
     quadrature_grid,
     run_experiment,
     run_replication,
+    select_knots,
     simulate_data,
     smooth_functional,
     summary_text,
@@ -226,18 +229,18 @@ class TestRunReplication:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("quadrature_grid", "eval_fit", "eval_fit_derivative"):
+        for name in ("quadrature_grid", "grid_table", "eval_fit"):
             counted(estimator, name)
-        counted(mc, "eval_fit")
+        counted(mc, "grid_table")
         result = run_replication(config, 0)
         assert result.ok and set(result.estimates) == {"boundary", "uniform"}
         # one sample of the quadrature grid for both weights, which gamma_b
-        # reads too; eval_fit also runs once on the fine grid (curve RMSE)
+        # reads too, and one of the fine grid (curve RMSE), each read off the
+        # grid's tables
         assert calls == {
             "estimator.quadrature_grid": 1,
-            "estimator.eval_fit_derivative": 1,
-            "estimator.eval_fit": 1,
-            "montecarlo.eval_fit": 1,
+            "estimator.grid_table": 1,
+            "montecarlo.grid_table": 1,
         }
 
     def test_one_design_for_the_search_and_one_for_the_chosen_fit(self, monkeypatch):
@@ -268,8 +271,9 @@ class TestRunReplication:
             result = run_replication(config, rep)
             assert result.ok, rep
             times, ys = simulate_data(config, rep)
-            basis = BSplineBasis(KnotSequence(config.interval, result.selected_knots, config.knot_policy.order))
-            fit = fit_least_squares(basis, times, ys)
+            selection = select_knots(times, ys, config.interval, config.knot_policy)
+            assert selection.selected_knots == result.selected_knots, rep
+            fit = selection.fit  # the path in the candidate grid's basis, as the replication read it
             for name in config.weights:
                 weight = config.weight_function(name)
                 nodes, _ = quadrature_grid(fit)
@@ -284,8 +288,9 @@ class TestRunReplication:
         result = run_replication(config, 0)
         assert result.ok
         times, ys = simulate_data(config, 0)
-        basis = BSplineBasis(KnotSequence(config.interval, result.selected_knots, config.knot_policy.order))
-        fit = fit_least_squares(basis, times, ys)
+        selection = select_knots(times, ys, config.interval, config.knot_policy)
+        assert selection.selected_knots == result.selected_knots
+        fit = selection.fit  # the path in the candidate grid's basis, as the replication read it
         model = config.build_model()
         for name in config.weights:
             crit = CriterionConfig(weight=config.weight_function(name))
@@ -364,6 +369,63 @@ class TestRunReplication:
         result = run_replication(config, 0)
         assert result.ok
         assert np.all(result.curve_rmse < 1e-2)
+
+
+class TestPathFromGridTables:
+    """A replication reads its fit's path off the grid's cached tables."""
+
+    @pytest.mark.parametrize("selection", ["elim-add", "fixed-uniform"])
+    def test_sample_equals_the_chosen_knots_evaluation(self, selection):
+        config = case1_config(n=200, knot_policy=KnotPolicy(selection=selection))
+        for rep in range(3):
+            times, ys = simulate_data(config, rep)
+            fit = select_knots(times, ys, config.interval, config.knot_policy).fit
+            # a search fit is read in the candidate grid's basis; the full grid is its own
+            assert (fit.grid is None) == (selection == "fixed-uniform"), rep
+            sample = estimator._sample_path(fit)
+            nodes, delta = quadrature_grid(fit)
+            assert sample.nodes.tobytes() == nodes.tobytes() and sample.delta.tobytes() == delta.tobytes()
+            want = [splines.eval_basis(fit.basis, nodes) @ fit.coefficients.T,
+                    splines.eval_basis_derivative(fit.basis, nodes) @ fit.coefficients.T]
+            public = [splines.eval_fit(fit, nodes), splines.eval_fit_derivative(fit, nodes)]
+            for got, value in zip([sample.x, sample.xdot] + public, want + want):
+                if fit.grid is None:
+                    assert got.tobytes() == value.tobytes(), rep
+                else:
+                    np.testing.assert_allclose(got, value, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("selection", ["elim-add", "fixed-uniform"])
+    def test_curve_rmse_equals_the_chosen_knots_evaluation(self, selection):
+        config = case1_config(n=200, knot_policy=KnotPolicy(selection=selection))
+        _, _, fine_ts, fine_truth = _truth_grids(config)
+        for rep in range(3):
+            result = run_replication(config, rep)
+            times, ys = simulate_data(config, rep)
+            fit = select_knots(times, ys, config.interval, config.knot_policy).fit
+            diff = splines.eval_basis(fit.basis, fine_ts) @ fit.coefficients.T - fine_truth
+            want = np.sqrt(np.trapezoid(diff**2, fine_ts, axis=0))
+            if fit.grid is None:
+                assert result.curve_rmse.tobytes() == want.tobytes(), rep
+            else:
+                np.testing.assert_allclose(result.curve_rmse, want, rtol=1e-12, atol=0)
+
+    def test_set_up_builds_no_table(self):
+        # the calls of a fixed-knot benchmark set-up, in a fresh interpreter:
+        # import, a knot sequence and its basis, a config, 50 datasets and a fit
+        code = (
+            "import numpy as np\n"
+            "from gradmatch import BSplineBasis, ExperimentConfig, KnotSequence, fit_least_squares, simulate_data\n"
+            "from gradmatch.splines import grid_table\n"
+            "config = ExperimentConfig(model='glv', theta_star=(0.0, -1.5, 1.0, 1.5, -1.0, -1.5), x0=(4.0, 2.0),\n"
+            "                          fixed={'a1': 0.0, 'b2': -1.0}, n=1000, replications=50)\n"
+            "basis = BSplineBasis(KnotSequence(config.interval, tuple(np.linspace(0.0, 20.0, 22)[1:-1]), 4))\n"
+            "data = [simulate_data(config, i) for i in range(50)]\n"
+            "fit = fit_least_squares(basis, *data[0])\n"
+            "print(grid_table.cache_info().currsize)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mc.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
 
 
 class TestTruth:

@@ -6,6 +6,9 @@ the dense all-columns recurrence the library used before its local evaluator,
 which the local one must repeat bit for bit.
 """
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,6 @@ from gradmatch import (
     EmptyInputError,
     InvalidKnotsError,
     KnotSequence,
-    LinearFunctional,
     OutOfDomainError,
     SplineFit,
     augment_knots,
@@ -25,10 +27,10 @@ from gradmatch import (
     eval_fit,
     eval_fit_derivative,
     fit_least_squares,
-    functional_variance,
     pointwise_variance,
     truncated_power_design,
 )
+from gradmatch.splines import FINE_POINTS, QUAD_NODES, _normal_matrix_pinv, grid_table
 
 
 def naive_bspline(tau, i, order, t, hi):
@@ -342,6 +344,54 @@ class TestRegression:
             design_matrix(basis, [])
 
 
+# An integral functional and its plug-in variance; nothing in the package calls them.
+@dataclass(frozen=True)
+class LinearFunctional:
+    """Integral functional x -> integral of a(s)' x(s) ds over an interval.
+
+    weight_path maps an array of m times to an (m, d) array (or a scalar time
+    to a (d,) vector).
+    """
+
+    interval: tuple[float, float]
+    weight_path: Callable
+
+    def value(self, path: Callable) -> float:
+        """Apply the functional to a path by composite trapezoid quadrature on 4097 nodes."""
+        ts = np.linspace(self.interval[0], self.interval[1], 4097)
+        a = np.atleast_2d(np.asarray(self.weight_path(ts), dtype=float))
+        x = np.atleast_2d(np.asarray(path(ts), dtype=float))
+        return float(np.trapezoid(np.sum(a * x, axis=1), ts))
+
+
+def _span_refined_grid(knots: KnotSequence) -> np.ndarray:
+    """Breakpoint-aware grid with 64 trapezoid cells per span."""
+    bps = knots.breakpoints
+    pieces = [np.linspace(bps[i], bps[i + 1], 65) for i in range(len(bps) - 1)]
+    return np.unique(np.concatenate(pieces))
+
+
+def functional_coefficients(fit: SplineFit, functional: LinearFunctional) -> np.ndarray:
+    """gamma = integral of B(s) a(s)' ds, shape (K, d); trapezoid on a knot-aware grid."""
+    grid = _span_refined_grid(fit.basis.knots)
+    bvals = eval_basis(fit.basis, grid)
+    avals = np.atleast_2d(np.asarray(functional.weight_path(grid), dtype=float))
+    # integrate each product column over the grid
+    return np.trapezoid(bvals[:, :, None] * avals[:, None, :], grid, axis=0)
+
+
+def functional_variance(fit: SplineFit, functional: LinearFunctional) -> np.ndarray:
+    """Plug-in variance matrix of the functional applied to the fit, d x d diagonal.
+
+    Entry (i, i) is sigma2_i * gamma_i' (design'design)^+ gamma_i where gamma_i
+    integrates basis * a_i.
+    """
+    gamma = functional_coefficients(fit, functional)
+    pinv = _normal_matrix_pinv(fit)
+    quad = np.einsum("ki,kl,li->i", gamma, pinv, gamma)
+    return np.diag(fit.residual_variance * quad)
+
+
 class TestDerivedQuantities:
     def test_fit_derivative_matches_difference_quotient(self):
         ks = KnotSequence((0.0, 1.0), (0.3, 0.6), 4)
@@ -461,6 +511,35 @@ class TestGramMatrices:
         eigs = np.linalg.eigvalsh(theo)
         assert np.all(eigs > 0)
         np.testing.assert_allclose(theo, theo.T, atol=1e-15)
+
+
+class TestGridTable:
+    KNOTS = KnotSequence((0.0, 20.0), tuple(20.0 * np.arange(1, 31) / 31), 4)
+
+    def test_rows_are_the_bits_eval_basis_gives(self):
+        basis = BSplineBasis(self.KNOTS)
+        nodes, values, slopes = grid_table.__wrapped__(self.KNOTS)
+        assert nodes.tobytes() == np.union1d(np.linspace(0.0, 20.0, QUAD_NODES), self.KNOTS.interior_knots).tobytes()
+        assert values.tobytes() == eval_basis(basis, nodes).tobytes()
+        assert slopes.tobytes() == eval_basis_derivative(basis, nodes).tobytes()
+        points, fine = grid_table.__wrapped__(self.KNOTS, fine=True)
+        assert points.tobytes() == np.linspace(0.0, 20.0, FINE_POINTS).tobytes()
+        assert fine.tobytes() == eval_basis(basis, points).tobytes()
+
+    def test_tables_are_read_only(self):
+        for table in grid_table(self.KNOTS) + grid_table(self.KNOTS, fine=True):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+    def test_one_bounded_cache_keyed_on_the_grid_and_built_on_first_use(self):
+        assert grid_table.cache_info().maxsize is not None
+        grid_table.cache_clear()
+        same = KnotSequence((0.0, 20.0), tuple(self.KNOTS.interior_knots), 4)
+        assert grid_table(same) is grid_table(self.KNOTS)
+        assert grid_table.cache_info().currsize == 1  # the fine table is built only when asked for
+        grid_table(self.KNOTS, fine=True)
+        assert grid_table.cache_info().currsize == 2
 
 
 class TestTruncatedPower:
