@@ -10,18 +10,11 @@ propagates into the estimate.
 from .errors import (
     BlowupError,
     ConfigError,
-    DegenerateSampleError,
     DegreesOfFreedomError,
-    DerivativeOrderError,
-    EmptyInputError,
     ExperimentError,
     GradMatchError,
     IdentifiabilityError,
     IdentifiabilityWarning,
-    InvalidKnotsError,
-    InvalidMatrixError,
-    OutOfDomainError,
-    TooFewObservationsError,
 )
 from .splines import (
     BSplineBasis,
@@ -35,7 +28,6 @@ from .splines import (
     eval_fit_derivative,
     fit_least_squares,
     pointwise_variance,
-    truncated_power_design,
 )
 from .knots import (
     KnotPolicy,
@@ -76,7 +68,6 @@ from .estimator import (
     fit_linear_in_theta,
     fit_nonlinear,
     fit_partially_observed,
-    linearization_residual,
     quadrature_grid,
     smooth_functional,
     write_report,

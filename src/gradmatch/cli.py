@@ -6,12 +6,12 @@ Subcommands:
     fit        two-step estimation on a CSV dataset, JSON report output
     mc         replicated simulation study driven by a JSON config file
 
-Exit codes: 0 success, 2 usage or configuration problem (including a
-negative knot count, --theta-init for a model declared linear, an mc --jobs
-below 1, an mc label that is not a plain file name, an output path that
-cannot be written, or a rank-deficient first-step spline fit), 3 simulation
-failure (trajectory blow-up), 4 identifiability failure, 5 too many failed
-replications.
+Exit codes: 0 success, 2 usage or configuration problem (including an
+unknown flag, a negative knot count, a data file whose times are not finite
+and strictly increasing, an mc --jobs below 1, an mc label that is not a
+plain file name, an output path that cannot be written, or a rank-deficient
+first-step spline fit), 3 simulation failure (trajectory blow-up), 4
+identifiability failure, 5 too many failed replications.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from pathlib import Path
 from .errors import (
     BlowupError,
     ConfigError,
-    DegreesOfFreedomError,
     ExperimentError,
     GradMatchError,
     IdentifiabilityError,
@@ -119,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="'auto' for GCV selection or an integer count >= 0 of uniform interior knots",
     )
-    fit.add_argument("--theta-init", default=None, help="comma-separated start for models not declared linear")
     fit.add_argument("--out", default=None, help="JSON report path")
 
     mc = sub.add_parser("mc", help="replicated simulation study from a JSON config")
@@ -174,13 +172,6 @@ def cmd_fit(args) -> int:
     except (ConfigError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    if model.linear and args.theta_init is not None:
-        print(f"error: --theta-init is not used: model {args.model!r} is declared linear", file=sys.stderr)
-        return EXIT_USAGE
-    if not model.linear and args.theta_init is None:
-        print(f"error: --theta-init is required: model {args.model!r} is not declared linear", file=sys.stderr)
-        return EXIT_USAGE
-    theta_init = None if args.theta_init is None else _float_list(args.theta_init, "--theta-init")
     try:
         policy = KnotPolicy() if args.knots == "auto" else KnotPolicy(int(args.knots), selection="fixed-uniform")
     except ValueError:
@@ -190,7 +181,7 @@ def cmd_fit(args) -> int:
     interval = (float(data.times[0]), float(data.times[-1]))
     try:
         fit = select_knots(data.times, data.states, interval, policy).fit
-    except (DegreesOfFreedomError, GradMatchError) as err:
+    except GradMatchError as err:
         print(f"error: first-step fit failed: {err}", file=sys.stderr)
         return EXIT_USAGE
     if fit.rank_deficient:
@@ -203,7 +194,7 @@ def cmd_fit(args) -> int:
 
     criteria = {args.weight: CriterionConfig(weight=WeightFunction.named(args.weight, interval))}
     try:
-        estimate = estimate_weights(fit, model, criteria, theta_init)[args.weight]
+        estimate = estimate_weights(fit, model, criteria)[args.weight]
     except IdentifiabilityError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IDENTIFIABILITY

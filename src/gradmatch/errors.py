@@ -2,35 +2,15 @@
 
 
 class GradMatchError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
 
-
-class InvalidKnotsError(GradMatchError):
-    """Knot sequence is unsorted, duplicated, or falls outside its interval."""
-
-
-class OutOfDomainError(GradMatchError):
-    """Evaluation point lies outside the basis interval."""
-
-
-class DerivativeOrderError(GradMatchError):
-    """Requested derivative order is >= the spline order."""
-
-
-class EmptyInputError(GradMatchError):
-    """An operation received an empty grid or data set."""
-
-
-class TooFewObservationsError(GradMatchError):
-    """Sample size is below the minimum the knot heuristics support."""
+    Raised itself for the invalid inputs no caller tells apart: bad knots,
+    points off the interval, empty data, a zero-variance sample.
+    """
 
 
 class DegreesOfFreedomError(GradMatchError):
     """Effective parameter count of a knot subset reaches the sample size."""
-
-
-class InvalidMatrixError(GradMatchError):
-    """Matrix input contains non-finite entries."""
 
 
 class BlowupError(GradMatchError):
@@ -55,10 +35,6 @@ class IdentifiabilityError(GradMatchError):
 
 class IdentifiabilityWarning(UserWarning):
     """Criterion Hessian is numerically singular at the evaluation point."""
-
-
-class DegenerateSampleError(GradMatchError):
-    """Sample has zero variance, so a studentized statistic is undefined."""
 
 
 class ConfigError(GradMatchError):

@@ -46,10 +46,10 @@ class WeightFunction:
         vals = np.asarray(self.values, dtype=float)
         if bps.size < 2 or bps.size != vals.size:
             raise ValueError("need matching breakpoints and values, at least two")
-        if np.any(np.diff(bps) <= 0):
-            raise ValueError("weight breakpoints must be strictly increasing")
-        if np.any(vals < 0):
-            raise ValueError("weight values must be nonnegative")
+        if not (np.all(np.isfinite(bps)) and np.all(np.diff(bps) > 0)):
+            raise ValueError("weight breakpoints must be finite and strictly increasing")
+        if not np.all(np.isfinite(vals) & (vals >= 0)):
+            raise ValueError("weight values must be finite and nonnegative")
         object.__setattr__(self, "breakpoints", tuple(float(b) for b in bps))
         object.__setattr__(self, "values", tuple(float(v) for v in vals))
 
@@ -257,7 +257,7 @@ def _estimate(sample, model, theta, jac, config, converged, iterations) -> TwoSt
         raise np.linalg.LinAlgError("fitted path is not finite on the quadrature grid")
     w = config.weight(sample.nodes)
     jstar, cond = _hessian(sample, jac, w)
-    (gamma_s,) = _smooth_integrals(sample, model, theta, jac, w, [sample.x])
+    gamma_s = _smooth_integral(sample, model, theta, jac, w, sample.x)
     gamma_b = w[-1] * jac[-1].T @ sample.x[-1] - w[0] * jac[0].T @ sample.x[0]
     value, components = _criterion_parts(sample, model, theta, config)
     return TwoStepEstimate(
@@ -358,11 +358,7 @@ def fit_nonlinear(fit: SplineFit, model: VectorFieldModel, theta_init, config: C
     the step and increases damping.  A start where the criterion is not finite
     is returned as the estimate, with converged False and iterations 0.
     """
-    return _fit_nonlinear(_sample_path(fit), model, theta_init, config)
-
-
-def _fit_nonlinear(sample, model, theta_init, config) -> TwoStepEstimate:
-    """fit_nonlinear on a sample of the fit."""
+    sample = _sample_path(fit)
     scale = np.sqrt(config.weight(sample.nodes) * sample.delta)
     free = model.free_indices
 
@@ -382,22 +378,18 @@ def _fit_nonlinear(sample, model, theta_init, config) -> TwoStepEstimate:
     return _estimate(sample, model, theta, jac, config, converged, iterations)
 
 
-def estimate_weights(fit: SplineFit, model: VectorFieldModel, criteria: dict, theta_init=None) -> dict:
-    """One estimate per named criterion, every one read off one sample of the fit.
+def estimate_weights(fit: SplineFit, model: VectorFieldModel, criteria: dict) -> dict:
+    """fit_linear_in_theta's estimate per named criterion, every one read off one sample of the fit.
 
-    A model declared linear takes the closed form of fit_linear_in_theta; any
-    other takes the Gauss-Newton loop of fit_nonlinear from ``theta_init``.
-    ValueError for no criteria, or a model not declared linear without
-    ``theta_init``.
+    ValueError for no criteria, or for a model not declared linear (fit_nonlinear
+    takes those, from a start).
     """
     if not criteria:
         raise ValueError("need at least one criterion")
-    if theta_init is None and not model.linear:
-        raise ValueError("theta_init is required for models not declared linear")
+    if not model.linear:
+        raise ValueError("model is not declared linear in its parameters")
     sample = _sample_path(fit)
-    if model.linear:
-        return {name: _fit_linear(sample, model, crit) for name, crit in criteria.items()}
-    return {name: _fit_nonlinear(sample, model, theta_init, crit) for name, crit in criteria.items()}
+    return {name: _fit_linear(sample, model, crit) for name, crit in criteria.items()}
 
 
 def _diagnostic_sample(path, model: VectorFieldModel, theta, weight: WeightFunction, nodes):
@@ -426,8 +418,8 @@ def _hessian(sample: _PathSample, jac: np.ndarray, w: np.ndarray) -> tuple[np.nd
     return jstar, cond
 
 
-def _smooth_integrals(sample: _PathSample, model: VectorFieldModel, theta, jac, w, targets) -> list:
-    """A(t) along the sample's path (see smooth_functional), integrated against each target on the nodes."""
+def _smooth_integral(sample: _PathSample, model: VectorFieldModel, theta, jac, w, target) -> np.ndarray:
+    """A(t) along the sample's path (see smooth_functional), integrated against target on the nodes."""
     ts = sample.nodes
     d2f_t = np.swapaxes(jac, 1, 2)  # (m, p_free, d)
     d1f = np.asarray(model.jacobian_state(ts, sample.x, theta), dtype=float)  # (m, d, d)
@@ -438,7 +430,7 @@ def _smooth_integrals(sample: _PathSample, model: VectorFieldModel, theta, jac, 
     for k in range(d1f.shape[1]):
         d2f_d1f = d2f_d1f + d2f_t[:, :, k, None] * d1f[:, None, k, :]
     kernel = -w[:, None, None] * d2f_d1f - dprod
-    return [np.einsum("j,jpd,jd->p", sample.delta, kernel, target) for target in targets]
+    return np.einsum("j,jpd,jd->p", sample.delta, kernel, target)
 
 
 def criterion_hessian(path, model: VectorFieldModel, theta, weight: WeightFunction, nodes) -> tuple[np.ndarray, float]:
@@ -471,7 +463,7 @@ def smooth_functional(path, model: VectorFieldModel, theta, weight: WeightFuncti
     """
     sample, theta, jac, w = _diagnostic_sample(path, model, theta, weight, nodes)
     target = sample.x if apply_to is None else _path_values(apply_to, sample.nodes)
-    return _smooth_integrals(sample, model, theta, jac, w, [target])[0]
+    return _smooth_integral(sample, model, theta, jac, w, target)
 
 
 def boundary_functional(path, model: VectorFieldModel, theta, weight: WeightFunction, apply_to=None) -> np.ndarray:
@@ -489,40 +481,6 @@ def boundary_functional(path, model: VectorFieldModel, theta, weight: WeightFunc
     jac = _free_jacobian(model, ends, x, theta)
     w_ends = weight(ends)
     return w_ends[1] * jac[1].T @ target[1] - w_ends[0] * jac[0].T @ target[0]
-
-
-def linearization_residual(
-    fit: SplineFit,
-    truth,
-    model: VectorFieldModel,
-    theta_star,
-    theta_hat,
-    weight: WeightFunction,
-    nodes,
-) -> np.ndarray:
-    """Difference between the estimator error and its first-order prediction.
-
-    Both functionals are built along the true path at theta_star and applied
-    to the fitted and true paths; the result is
-    (theta_hat - theta_star)_free - J*^{-1} [delta gamma_s + delta gamma_b].
-    Small values confirm the first-order error representation at this sample
-    size.  A singular J* raises IdentifiabilityError.  ``nodes`` is checked as
-    in criterion_hessian.
-    """
-    sample, theta_star, jac, w = _diagnostic_sample(truth, model, theta_star, weight, nodes)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IdentifiabilityWarning)
-        jstar, cond = _hessian(sample, jac, w)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise IdentifiabilityError(f"J* is singular (condition {cond:.3g})")
-    gs_fit, gs_truth = _smooth_integrals(
-        sample, model, theta_star, jac, w, [_path_values(fit, sample.nodes), sample.x]
-    )
-    d_gb = boundary_functional(truth, model, theta_star, weight, apply_to=fit) - boundary_functional(
-        truth, model, theta_star, weight
-    )
-    delta_theta = (np.asarray(theta_hat, dtype=float) - theta_star)[model.free_indices]
-    return delta_theta - np.linalg.solve(jstar, gs_fit - gs_truth + d_gb)
 
 
 @dataclass(frozen=True)

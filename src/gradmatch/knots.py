@@ -34,7 +34,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegreesOfFreedomError, TooFewObservationsError
+from .errors import DegreesOfFreedomError, GradMatchError
 from .splines import (
     BSplineBasis,
     KnotSequence,
@@ -42,7 +42,6 @@ from .splines import (
     design_matrix,
     eval_basis,
     eval_basis_derivative,
-    truncated_power_design,
 )
 from . import splines
 
@@ -99,7 +98,7 @@ def default_knot_count(n: int) -> int:
     between snap to the nearest calibrated size (ties toward the smaller).
     """
     if n < _MIN_OBSERVATIONS:
-        raise TooFewObservationsError(f"need at least {_MIN_OBSERVATIONS} observations, got {n}")
+        raise GradMatchError(f"need at least {_MIN_OBSERVATIONS} observations, got {n}")
     if n >= _COUNT_TABLE[-1][0]:
         return _COUNT_TABLE[-1][1]
     best = min(_COUNT_TABLE, key=lambda item: (abs(item[0] - n), item[0]))
@@ -180,8 +179,9 @@ def _grid_tables(basis: BSplineBasis) -> tuple[np.ndarray, ...]:
     # values there of any spline in the grid's space give its grid coefficients
     sites = np.lib.stride_tricks.sliding_window_view(basis.augmented[1:-1], order - 1).mean(axis=1)
     collocate = np.linalg.inv(eval_basis(basis, sites))
-    # column j: grid coefficients of the truncated power at grid[j]
-    powers = collocate @ truncated_power_design(basis.interval, basis.knots.interior_knots, order, sites)[:, order:]
+    # column j: grid coefficients of the truncated power (t - grid[j])_+^(order - 1)
+    grid = np.asarray(basis.knots.interior_knots)
+    powers = collocate @ np.clip(sites[:, None] - grid[None, :], 0.0, None) ** (order - 1)
     return splines.read_only(jumps, sites, collocate, powers)
 
 

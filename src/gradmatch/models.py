@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BlowupError, EmptyInputError, InvalidMatrixError
+from .errors import BlowupError, GradMatchError
 
 _BLOWUP_NORM = 1e8  # a solved state larger than this in magnitude has escaped
 
@@ -214,7 +214,7 @@ def get_model_spec(name: str) -> ModelSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A solution sampled on a strictly increasing time grid."""
+    """A solution sampled on a finite, strictly increasing time grid."""
 
     times: np.ndarray
     states: np.ndarray
@@ -223,9 +223,9 @@ class Trajectory:
         ts = np.asarray(self.times, dtype=float)
         xs = np.asarray(self.states, dtype=float)
         if ts.size == 0:
-            raise EmptyInputError("trajectory needs at least one time point")
-        if np.any(np.diff(ts) <= 0):
-            raise ValueError("trajectory times must be strictly increasing")
+            raise GradMatchError("trajectory needs at least one time point")
+        if not (np.all(np.isfinite(ts)) and np.all(np.diff(ts) > 0)):
+            raise ValueError("trajectory times must be finite and strictly increasing")
         if xs.shape[0] != ts.size:
             raise ValueError("times and states disagree in length")
         if not np.all(np.isfinite(xs)):
@@ -289,7 +289,7 @@ class DenseSolution:
         """
         ts = np.asarray(times, dtype=float)
         if ts.ndim != 1 or ts.size == 0:
-            raise EmptyInputError("evaluation times must be a non-empty 1-D array")
+            raise GradMatchError("evaluation times must be a non-empty 1-D array")
         if ts.min() < self.starts[0] or ts.max() > self.t_end:
             raise ValueError(f"times must lie in the solved span [{self.starts[0]:g}, {self.t_end:g}]")
         k = np.maximum(np.searchsorted(self.starts, ts, side="left") - 1, 0)
@@ -396,7 +396,7 @@ def integrate(model, theta, x0, t_grid, tol: float = 1e-8) -> Trajectory:
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.size < 2:
-        raise EmptyInputError("integration grid needs at least two points")
+        raise GradMatchError("integration grid needs at least two points")
     solution = dense_solve(model, theta, x0, ts[0], ts[-1], tol=tol)
     return Trajectory(times=ts, states=solution(ts))
 
@@ -409,9 +409,9 @@ def matrix_exponential(a_matrix, t: float = 1.0) -> np.ndarray:
     """
     a = np.asarray(a_matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidMatrixError(f"expected a square matrix, got shape {a.shape}")
+        raise GradMatchError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise InvalidMatrixError("matrix exponential needs finite entries")
+        raise GradMatchError("matrix exponential needs finite entries")
     b = t * a
     if b.size == 0:
         return np.zeros((0, 0))
@@ -450,10 +450,10 @@ def duhamel_solve(
     """
     a = np.asarray(a_matrix, dtype=float)
     if not np.all(np.isfinite(a)):
-        raise InvalidMatrixError("Duhamel solve needs a finite matrix")
+        raise GradMatchError("Duhamel solve needs a finite matrix")
     ts = np.asarray(t_grid, dtype=float)
     if ts.size == 0:
-        raise EmptyInputError("Duhamel grid is empty")
+        raise GradMatchError("Duhamel grid is empty")
     substeps = max(int(substeps), 8)
     d = a.shape[0]
 
@@ -537,6 +537,6 @@ def read_trajectory_csv(path) -> Trajectory:
             raise ValueError(f"{path}: expected header starting with 't'")
         rows = [[float(v) for v in row] for row in reader if row]
     if not rows:
-        raise EmptyInputError(f"{path}: no data rows")
+        raise GradMatchError(f"{path}: no data rows")
     data = np.asarray(rows)
     return Trajectory(times=data[:, 0], states=data[:, 1:])

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateSampleError, ExperimentError, GradMatchError
+from .errors import ExperimentError, GradMatchError
 from .estimator import WEIGHT_NAMES, CriterionConfig, WeightFunction, estimate_weights
 from .knots import KnotPolicy, select_knots
 from .models import dense_solve, get_model_spec
@@ -201,7 +201,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
         curve_rmse = np.sqrt(np.trapezoid(diff**2, fine_ts, axis=0))
 
         crits = {name: CriterionConfig(weight=config.weight_function(name)) for name in config.weights}
-        estimates = estimate_weights(fit, model, crits, theta_init=config.theta_star)
+        estimates = estimate_weights(fit, model, crits)
         for name, est in estimates.items():
             if not est.converged or not np.all(np.isfinite(est.theta_hat)):
                 return ReplicationResult(rep_index, False, failure=f"non-converged ({name})")
@@ -274,7 +274,7 @@ def ks_normality(samples) -> KSResult:
         raise ValueError(f"normality check needs >= 50 samples, got {x.size}")
     # a constant sample has zero variance up to rounding of the mean
     if x.std(ddof=1) <= 1e-12 * max(np.max(np.abs(x)), 1e-300):
-        raise DegenerateSampleError("sample has zero variance")
+        raise GradMatchError("sample has zero variance")
     stat = float(_lilliefors_statistic(x))
     crit = _ks_critical_value(x.size, _KS_RESAMPLES)
     return KSResult(statistic=stat, critical_value=crit, reject=stat > crit, sample_size=x.size)

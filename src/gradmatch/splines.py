@@ -20,12 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DerivativeOrderError,
-    EmptyInputError,
-    InvalidKnotsError,
-    OutOfDomainError,
-)
+from .errors import GradMatchError
 
 # Relative singular-value cutoff for every pseudoinverse / least-squares solve.
 SV_CUTOFF = 1e-12
@@ -47,15 +42,15 @@ class KnotSequence:
     def __post_init__(self):
         lo, hi = self.interval
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise InvalidKnotsError(f"interval must satisfy t_lo < t_hi, got {self.interval}")
+            raise GradMatchError(f"interval must satisfy t_lo < t_hi, got {self.interval}")
         if self.order < 2:
-            raise InvalidKnotsError(f"order must be >= 2, got {self.order}")
+            raise GradMatchError(f"order must be >= 2, got {self.order}")
         ks = np.asarray(self.interior_knots, dtype=float)
         if ks.size:
             if np.any(np.diff(ks) <= 0.0):
-                raise InvalidKnotsError("interior knots must be strictly increasing")
+                raise GradMatchError("interior knots must be strictly increasing")
             if ks[0] <= lo or ks[-1] >= hi:
-                raise InvalidKnotsError("interior knots must lie strictly inside the interval")
+                raise GradMatchError("interior knots must lie strictly inside the interval")
         object.__setattr__(self, "interval", (float(lo), float(hi)))
         object.__setattr__(self, "interior_knots", tuple(float(k) for k in ks))
 
@@ -102,7 +97,7 @@ def _check_domain(interval: tuple[float, float], ts: np.ndarray) -> None:
     lo, hi = interval
     # written so that a NaN point fails the test too
     if ts.size and not (lo <= ts.min() and ts.max() <= hi):
-        raise OutOfDomainError(
+        raise GradMatchError(
             f"evaluation points must lie in [{lo}, {hi}], got range [{ts.min()}, {ts.max()}]"
         )
 
@@ -157,7 +152,7 @@ def eval_basis_derivative(basis: BSplineBasis, t, r: int = 1) -> np.ndarray:
     """r-th derivative of every basis function at ``t`` (left limit at t_hi)."""
     k = basis.knots.order
     if not 1 <= r < k:
-        raise DerivativeOrderError(f"derivative order must satisfy 1 <= r < {k}, got {r}")
+        raise GradMatchError(f"derivative order must satisfy 1 <= r < {k}, got {r}")
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     _check_domain(basis.interval, ts)
     out = _local_columns(basis.augmented, k, ts, r)
@@ -168,7 +163,7 @@ def design_matrix(basis: BSplineBasis, times: Sequence[float]) -> np.ndarray:
     """n x dimension matrix of basis values at the observation times."""
     ts = np.asarray(times, dtype=float)
     if ts.size == 0:
-        raise EmptyInputError("design matrix needs at least one observation time")
+        raise GradMatchError("design matrix needs at least one observation time")
     _check_domain(basis.interval, ts)
     return _local_columns(basis.augmented, basis.knots.order, ts)
 
@@ -232,7 +227,7 @@ def fit_least_squares(basis: BSplineBasis, times, observations) -> SplineFit:
     if ys.ndim == 1:
         ys = ys[:, None]
     if ts.size == 0 or ys.size == 0:
-        raise EmptyInputError("fit_least_squares needs nonempty times and observations")
+        raise GradMatchError("fit_least_squares needs nonempty times and observations")
     if ys.shape[0] != ts.size:
         raise ValueError(f"times ({ts.size}) and observations ({ys.shape[0]}) disagree")
     if np.any(np.diff(ts) < 0):
@@ -300,18 +295,3 @@ def pointwise_variance(fit: SplineFit, t) -> np.ndarray:
     quad = np.einsum("...k,kl,...l->...", bvec, _normal_matrix_pinv(fit), bvec)
     return np.asarray(quad)[..., None] * fit.residual_variance
 
-
-def truncated_power_design(interval: tuple[float, float], interior_knots, order: int, times) -> np.ndarray:
-    """Design matrix of the truncated power basis 1, t, .., t^(k-1), (t-xi_j)_+^(k-1).
-
-    Spans the same space as the B-spline basis on the same knots but is much
-    worse conditioned; exposed for cross-checks.
-    """
-    ts = np.asarray(times, dtype=float)
-    _check_domain(interval, ts)
-    ks = np.asarray(interior_knots, dtype=float)
-    poly = ts[:, None] ** np.arange(order)[None, :]
-    if ks.size:
-        trunc = np.clip(ts[:, None] - ks[None, :], 0.0, None) ** (order - 1)
-        return np.hstack([poly, trunc])
-    return poly

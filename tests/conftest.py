@@ -1,4 +1,4 @@
-"""Shared pytest plumbing: the acceptance-criterion scoreboard.
+"""Shared pytest plumbing: the acceptance-criterion scoreboard and the truncated power basis.
 
 Acceptance tests (tests/test_acceptance.py) each cover one numbered criterion
 and record a PASS/FAIL verdict here; at the end of the run one line per
@@ -8,7 +8,24 @@ errored before recording shows up as FAIL rather than silently vanishing.
 
 import re
 
+import numpy as np
 import pytest
+
+
+def truncated_power_design(interval, interior_knots, order, times):
+    """Design matrix of the truncated power basis 1, t, .., t^(k-1), (t - xi_j)_+^(k-1).
+
+    Spans the same space as the B-spline basis on the same knots but is much
+    worse conditioned: an independent oracle for the B-splines and for the
+    knot search's truncated-power table.
+    """
+    ts = np.asarray(times, dtype=float)
+    lo, hi = interval
+    assert np.all((lo <= ts) & (ts <= hi)), "times outside the interval"
+    ks = np.asarray(interior_knots, dtype=float)
+    poly = ts[:, None] ** np.arange(order)[None, :]
+    trunc = np.clip(ts[:, None] - ks[None, :], 0.0, None) ** (order - 1)
+    return np.hstack([poly, trunc])
 
 _RESULTS = {}
 _COLLECTED = set()

@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line interface (invoked in process)."""
 
 import csv
-import dataclasses
 import json
 import math
 import multiprocessing
@@ -12,15 +11,11 @@ import numpy as np
 import pytest
 
 from gradmatch import (
-    MODEL_REGISTRY,
     CriterionConfig,
     KnotPolicy,
-    ModelSpec,
     WeightFunction,
     fit_linear_in_theta,
-    fit_nonlinear,
     get_model_spec,
-    glv_field,
     read_trajectory_csv,
     select_knots,
     write_report,
@@ -247,29 +242,13 @@ class TestFit:
         assert got.read_bytes() == want.read_bytes()
 
     def test_theta_init_for_a_linear_model_exits_2(self, case1_n500, capsys):
-        code = main(["fit", "--data", str(case1_n500), "--model", "glv", "--theta-init", CASE1_THETA])
-        assert code == 2
+        # every registered model is declared linear, so fit takes no start
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fit", "--data", str(case1_n500), "--model", "glv", "--theta-init", CASE1_THETA])
+        assert excinfo.value.code == 2
         captured = capsys.readouterr()
-        assert "--theta-init is not used" in captured.err and "declared linear" in captured.err
+        assert "unrecognized arguments: --theta-init" in captured.err
         assert "theta_hat" not in captured.out
-
-    def test_model_not_declared_linear_starts_from_theta_init(self, case1_n500, tmp_path, monkeypatch, capsys):
-        def factory(fixed_mask=None, fixed_values=None):
-            return dataclasses.replace(glv_field(fixed_mask, fixed_values), linear=False)
-
-        monkeypatch.setitem(MODEL_REGISTRY, "glv-gn", ModelSpec("glv-gn", factory, {"a1": 0.0, "b2": 0.0}))
-        base = ["fit", "--data", str(case1_n500), "--model", "glv-gn"]
-        assert main(base) == 2
-        assert "--theta-init is required" in capsys.readouterr().err
-        got, want = tmp_path / "got.json", tmp_path / "want.json"
-        assert main(base + ["--theta-init", "0,-1,1,1,0,-1", "--out", str(got)]) == 0
-        data = read_trajectory_csv(case1_n500)
-        interval = (float(data.times[0]), float(data.times[-1]))
-        fit = select_knots(data.times, data.states, interval, KnotPolicy()).fit
-        model = get_model_spec("glv-gn").build()
-        config = CriterionConfig(weight=WeightFunction.boundary_vanishing(interval))
-        write_report(fit_nonlinear(fit, model, [0.0, -1.0, 1.0, 1.0, 0.0, -1.0], config), want)
-        assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("knots", ["-1", "x"])
     def test_bad_knot_count_exits_2(self, case1_n500, knots, capsys):
@@ -316,8 +295,16 @@ class TestFit:
             (None, "cannot read"),
             ([[t, 1.0] for t in range(20)], "data has 1 state columns, model 'glv' needs 2"),
             ([[t, 1.0, 2.0] for t in range(8)], "first-step fit failed: need at least 10 observations"),
+            ([[t, 1.0, 2.0] for t in [0, math.nan] + list(range(2, 20))], "trajectory times must be finite"),
+            ([[t, 1.0, 2.0] for t in list(range(19)) + [math.inf]], "trajectory times must be finite"),
         ],
-        ids=["missing file", "one state column", "too few observations for the knot search"],
+        ids=[
+            "missing file",
+            "one state column",
+            "too few observations for the knot search",
+            "nan time",
+            "infinite last time",
+        ],
     )
     def test_unusable_data_exits_2(self, tmp_path, rows, message, capsys):
         path = tmp_path / "data.csv"

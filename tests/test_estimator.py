@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from gradmatch import (
     fit_partially_observed,
     glv_field,
     integrate,
-    linearization_residual,
     quadrature_grid,
     select_knots,
     simulate_data,
@@ -219,6 +219,15 @@ class TestWeightFunction:
     def test_values_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             WeightFunction((0.0, 1.0), (1.0, -0.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_breakpoints_and_values_must_be_finite(self, bad):
+        for breakpoints in ((bad, 1.0), (0.0, bad), (0.0, bad, 2.0)):
+            with pytest.raises(ValueError, match="breakpoints must be finite"):
+                WeightFunction(breakpoints, (1.0,) * len(breakpoints))
+        for values in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="values must be finite"):
+                WeightFunction((0.0, 1.0), values)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -593,7 +602,7 @@ def assert_same_estimate(got, want, label):
 
 
 class TestEstimateWeights:
-    """estimate_weights against fit_linear_in_theta and fit_nonlinear, one criterion at a time."""
+    """estimate_weights against fit_linear_in_theta, one criterion at a time."""
 
     @staticmethod
     def study_fits(design, n, reps=2):
@@ -612,27 +621,15 @@ class TestEstimateWeights:
             assert list(got) == list(criteria)
             for name, crit in criteria.items():
                 assert_same_estimate(got[name], fit_linear_in_theta(fit, model, crit), (rep, name))
-            # a linear model takes the closed form whatever start is given
-            for name, est in estimate_weights(fit, model, criteria, theta_init=THETA_CASE1 + 1.0).items():
-                assert_same_estimate(est, got[name], (rep, name, "theta_init"))
-
-    @pytest.mark.parametrize("design", sorted(DESIGNS))
-    def test_other_model_equals_gauss_newton_per_weight(self, design):
-        for rep, fit, config, criteria in self.study_fits(design, 200):
-            model = dataclasses.replace(config.build_model(), linear=False)
-            start = np.asarray(config.theta_star) + 0.1
-            got = estimate_weights(fit, model, criteria, theta_init=start)
-            for name, crit in criteria.items():
-                assert_same_estimate(got[name], fit_nonlinear(fit, model, start, crit), (rep, name))
 
     def test_no_criteria_raise(self):
-        for theta_init in (None, THETA_CASE1):
-            with pytest.raises(ValueError):
-                estimate_weights(noisy_case1_fit(), case1_model(), {}, theta_init)
+        with pytest.raises(ValueError, match="criterion"):
+            estimate_weights(noisy_case1_fit(), case1_model(), {})
 
     def test_other_model_needs_a_start(self):
+        # fit_nonlinear, with its start, takes a model not declared linear
         model = dataclasses.replace(case1_model(), linear=False)
-        with pytest.raises(ValueError, match="theta_init"):
+        with pytest.raises(ValueError, match="not declared linear"):
             estimate_weights(noisy_case1_fit(), model, {"a": CriterionConfig(UNIFORM_20)})
 
 
@@ -757,7 +754,32 @@ class TestBoundaryFunctional:
         np.testing.assert_allclose(out, [6.0 - 0.0], rtol=1e-12)
 
 
+def linearization_residual(fit, truth, model, theta_star, theta_hat, weight, nodes):
+    """Difference between the estimator error and its first-order prediction.
+
+    Both functionals are built along the true path at theta_star and applied
+    to the fitted and true paths; the result is
+    (theta_hat - theta_star)_free - J*^{-1} [delta gamma_s + delta gamma_b].
+    A singular J* raises IdentifiabilityError.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IdentifiabilityWarning)
+        jstar, cond = criterion_hessian(truth, model, theta_star, weight, nodes)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise IdentifiabilityError(f"J* is singular (condition {cond:.3g})")
+    d_gs = smooth_functional(truth, model, theta_star, weight, nodes, apply_to=fit) - smooth_functional(
+        truth, model, theta_star, weight, nodes
+    )
+    d_gb = boundary_functional(truth, model, theta_star, weight, apply_to=fit) - boundary_functional(
+        truth, model, theta_star, weight
+    )
+    delta_theta = (np.asarray(theta_hat, dtype=float) - theta_star)[model.free_indices]
+    return delta_theta - np.linalg.solve(jstar, d_gs + d_gb)
+
+
 class TestLinearizationResidual:
+    """The first-order error representation, built on the public diagnostics."""
+
     def test_zero_when_fit_equals_truth(self):
         _, truth = case1_truth_fit(n_knots=20, n_obs=300)
         model = case1_model()
@@ -791,22 +813,10 @@ class TestLinearizationResidual:
                 path, path, model, np.zeros(2), np.zeros(2), weight, nodes
             )
 
-    def test_evaluates_param_jacobian_once_along_the_truth(self):
-        fit, truth = case1_truth_fit(n_knots=20, n_obs=300)
-        model, rows = logged_param_jacobian(case1_model())
-        nodes = np.linspace(0.0, 20.0, 801)
-        weight = WeightFunction.uniform((0.0, 20.0))
-        linearization_residual(fit, truth, model, THETA_CASE1, THETA_CASE1, weight, nodes)
-        # J* and both smooth functionals share one call; each boundary term takes the two endpoints
-        assert rows == [nodes.size, 2, 2]
-
 
 DIAGNOSTICS = {
     "criterion_hessian": lambda path, model, w, nodes: criterion_hessian(path, model, np.zeros(2), w, nodes),
     "smooth_functional": lambda path, model, w, nodes: smooth_functional(path, model, np.zeros(2), w, nodes),
-    "linearization_residual": lambda path, model, w, nodes: linearization_residual(
-        path, path, model, np.zeros(2), np.zeros(2), w, nodes
-    ),
 }
 
 BAD_NODES = {

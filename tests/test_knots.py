@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gradmatch import DegreesOfFreedomError, TooFewObservationsError
+from gradmatch import DegreesOfFreedomError, GradMatchError
 from gradmatch import knots
 from gradmatch.knots import (
     KnotPolicy,
@@ -19,7 +19,9 @@ from gradmatch.knots import (
     uniform_knots,
 )
 from gradmatch.montecarlo import ExperimentConfig, simulate_data
-from gradmatch.splines import BSplineBasis, KnotSequence, design_matrix, fit_least_squares, truncated_power_design
+from gradmatch.splines import BSplineBasis, KnotSequence, design_matrix, fit_least_squares
+
+from conftest import truncated_power_design
 
 CYCLE = dict(theta_star=(0.0, -1.5, 1.0, 2.0, 0.0, -1.5), fixed={"a1": 0.0, "b2": 0.0}, x0=(1.0, 2.0))
 DAMPED = dict(theta_star=(0.0, -1.5, 1.0, 1.5, -1.0, -1.5), fixed={"a1": 0.0, "b2": -1.0}, x0=(4.0, 2.0))
@@ -130,7 +132,7 @@ class TestDefaults:
         assert default_knot_count(76) == 30   # nearer 100
 
     def test_too_small(self):
-        with pytest.raises(TooFewObservationsError):
+        with pytest.raises(GradMatchError, match="need at least 10 observations"):
             default_knot_count(9)
 
     def test_uniform_grid(self):
@@ -399,6 +401,15 @@ class TestGridTables:
             assert not got.flags.writeable, name
             with pytest.raises(ValueError):
                 got[0] = 0.0
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_powers_are_the_truncated_powers_at_the_sites_bit_for_bit(self, order):
+        for interval, count in (((0.0, 2.0), 7), ((0.0, 20.0), 30), ((0.0, 19.9), 0)):
+            grid = uniform_knots(interval, count)
+            _, sites, collocate, powers = knots._grid_tables(BSplineBasis(KnotSequence(interval, tuple(grid), order)))
+            want = collocate @ truncated_power_design(interval, grid, order, sites)[:, order:]
+            assert want.shape == (grid.size + order, grid.size)
+            assert np.array_equal(powers, want), (interval, count)
 
 
 class TestMatchesReferenceWalk:

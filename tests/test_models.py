@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gradmatch.errors import BlowupError, EmptyInputError, InvalidMatrixError
+from gradmatch.errors import BlowupError, GradMatchError
 from gradmatch.models import (
     MODEL_REGISTRY,
     PartiallyLinearSystem,
@@ -251,7 +251,7 @@ class TestIntegrate:
 
     def test_needs_two_grid_points(self):
         model = glv_field()
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(GradMatchError, match="integration grid needs at least two points"):
             integrate(model, THETA_CASE1, np.array([1.0, 2.0]), np.array([0.0]))
 
 
@@ -366,9 +366,9 @@ class TestMatrixExponential:
         assert squared > 100  # most cases are scaled down and squared back
 
     def test_rejects_bad_input(self):
-        with pytest.raises(InvalidMatrixError):
+        with pytest.raises(GradMatchError, match="matrix exponential needs finite entries"):
             matrix_exponential(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-        with pytest.raises(InvalidMatrixError):
+        with pytest.raises(GradMatchError, match="expected a square matrix"):
             matrix_exponential(np.zeros((2, 3)))
 
 
@@ -466,8 +466,14 @@ class TestTrajectoryIO:
             Trajectory(times=np.array([0.0, 0.0, 1.0]), states=np.zeros((3, 1)))
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 1.0]), states=np.array([[1.0], [np.nan]]))
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(GradMatchError, match="trajectory needs at least one time point"):
             Trajectory(times=np.array([]), states=np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_trajectory_times_must_be_finite(self, bad):
+        for times in ([0.0, bad, 2.0], [0.0, 1.0, bad], [bad, 1.0, 2.0]):
+            with pytest.raises(ValueError, match="times must be finite"):
+                Trajectory(times=np.array(times), states=np.zeros((3, 1)))
 
     def test_partially_linear_container(self):
         sys = PartiallyLinearSystem(d_hidden=1, g=lambda u, v, eta: v, h=lambda u, eta: eta[0] * u)

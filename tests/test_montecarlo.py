@@ -14,9 +14,9 @@ import pytest
 
 from gradmatch import (
     CriterionConfig,
-    DegenerateSampleError,
     ExperimentConfig,
     ExperimentError,
+    GradMatchError,
     IdentifiabilityError,
     KnotPolicy,
     KnotSequence,
@@ -311,11 +311,11 @@ class TestRunReplication:
         real = mc.estimate_weights
         calls = []
 
-        def failing(fit, model, criteria, theta_init=None):
+        def failing(fit, model, criteria):
             calls.append(None)
             if len(calls) == 3:  # replication 2
                 raise IdentifiabilityError("free parameters are not identifiable along: +1.00*a2")
-            estimates = real(fit, model, criteria, theta_init)
+            estimates = real(fit, model, criteria)
             if len(calls) == 6:  # replication 5: the second weight did not converge
                 estimates["uniform"] = dataclasses.replace(estimates["uniform"], converged=False)
             return estimates
@@ -651,7 +651,7 @@ class TestKSNormality:
             ks_normality(np.zeros(49) + np.arange(49))
 
     def test_zero_variance_rejected(self):
-        with pytest.raises(DegenerateSampleError):
+        with pytest.raises(GradMatchError, match="sample has zero variance"):
             ks_normality(np.full(60, 3.14))
 
 
