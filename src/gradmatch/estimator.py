@@ -151,12 +151,12 @@ def _residuals(sample: _PathSample, model: VectorFieldModel, theta):
     return resid if np.all(np.isfinite(resid)) else None
 
 
-def _criterion_parts(sample: _PathSample, model: VectorFieldModel, theta, config: CriterionConfig):
-    """The criterion value and its per-dimension components from one residual."""
+def _criterion_parts(sample: _PathSample, model: VectorFieldModel, theta, w):
+    """The criterion value and its per-dimension components from one residual; w is the weight on the nodes."""
     resid = _residuals(sample, model, theta)
     if resid is None:
         return np.inf, np.full(sample.x.shape[1], np.inf)
-    dw = sample.delta * config.weight(sample.nodes)
+    dw = sample.delta * w
     value = float(np.sum(dw * np.linalg.norm(resid, axis=1) ** 2.0) ** 0.5)
     return value, np.sum(dw[:, None] * np.abs(resid) ** 2.0, axis=0) ** 0.5
 
@@ -167,7 +167,8 @@ def criterion(fit: SplineFit, model: VectorFieldModel, theta, config: CriterionC
     Non-finite field values on the grid give an infinite criterion rather than
     an exception, so a search can treat them as a rejected trial.
     """
-    return _criterion_parts(_sample_path(fit), model, theta, config)[0]
+    sample = _sample_path(fit)
+    return _criterion_parts(sample, model, theta, config.weight(sample.nodes))[0]
 
 
 def criterion_components(fit: SplineFit, model: VectorFieldModel, theta, config: CriterionConfig) -> np.ndarray:
@@ -175,7 +176,8 @@ def criterion_components(fit: SplineFit, model: VectorFieldModel, theta, config:
 
     The squares of the components sum to the square of criterion().
     """
-    return _criterion_parts(_sample_path(fit), model, theta, config)[1]
+    sample = _sample_path(fit)
+    return _criterion_parts(sample, model, theta, config.weight(sample.nodes))[1]
 
 
 @dataclass(frozen=True)
@@ -217,14 +219,14 @@ def _free_jacobian(model: VectorFieldModel, ts, x, theta) -> np.ndarray:
     return np.asarray(model.jacobian_param(ts, x, theta), dtype=float)[:, :, model.free_indices]
 
 
-def _solve_linear(sample: _PathSample, model: VectorFieldModel, weight: WeightFunction, basis) -> np.ndarray:
+def _solve_linear(sample: _PathSample, model: VectorFieldModel, w, basis, offset) -> np.ndarray:
     """Closed-form minimizer of the discretized criterion, free entries.
 
-    For a linear model F = D2F theta_free + F(theta_free = 0); ``basis`` is the
-    free D2F on the sample and the field at theta_free = 0 is the offset.
+    For a linear model F = D2F theta_free + F(theta_free = 0); on the sample,
+    ``basis`` is the free D2F, ``offset`` the field at theta_free = 0 and
+    ``w`` the weight.
     """
-    scale = np.sqrt(weight(sample.nodes) * sample.delta)
-    offset = np.asarray(model.field(sample.nodes, sample.x, _assemble_theta(model, 0.0)), dtype=float)
+    scale = np.sqrt(w * sample.delta)
     m, d, p_free = basis.shape
     lhs = (scale[:, None, None] * basis).reshape(m * d, p_free)
     rhs = (scale[:, None] * (sample.xdot - offset)).reshape(m * d)
@@ -246,20 +248,19 @@ def _assemble_theta(model: VectorFieldModel, theta_free: np.ndarray) -> np.ndarr
     return theta
 
 
-def _estimate(sample, model, theta, jac, config, converged, iterations) -> TwoStepEstimate:
+def _estimate(sample, model, theta, jac, w, converged, iterations) -> TwoStepEstimate:
     """Criterion value, its components and the diagnostics at theta, from one sample of the fit.
 
-    ``jac`` is the free D2F on the sample at theta.  The nodes start at t_lo
-    and end at t_hi, so gamma_b (see boundary_functional) reads the sample's
-    first and last rows, at the fit's ends.
+    ``jac`` is the free D2F and ``w`` the weight on the sample at theta.  The
+    nodes start at t_lo and end at t_hi, so gamma_b (see boundary_functional)
+    reads the sample's first and last rows, at the fit's ends.
     """
     if not np.all(np.isfinite(sample.x)):
         raise np.linalg.LinAlgError("fitted path is not finite on the quadrature grid")
-    w = config.weight(sample.nodes)
     jstar, cond = _hessian(sample, jac, w)
     gamma_s = _smooth_integral(sample, model, theta, jac, w, sample.x)
     gamma_b = w[-1] * jac[-1].T @ sample.x[-1] - w[0] * jac[0].T @ sample.x[0]
-    value, components = _criterion_parts(sample, model, theta, config)
+    value, components = _criterion_parts(sample, model, theta, w)
     return TwoStepEstimate(
         theta_hat=theta,
         criterion_value=value,
@@ -338,15 +339,26 @@ def fit_linear_in_theta(fit: SplineFit, model: VectorFieldModel, config: Criteri
     """
     if not model.linear:
         raise ValueError("model is not declared linear in its parameters")
-    return _fit_linear(_sample_path(fit), model, config)
+    sample = _sample_path(fit)
+    return _fit_linear(sample, model, config, *_linear_split(sample, model))
 
 
-def _fit_linear(sample, model, config) -> TwoStepEstimate:
-    """fit_linear_in_theta on a sample of the fit, without the input checks."""
-    # a linear field's D2F does not depend on theta: one evaluation serves the solve, J*, gamma_s and gamma_b
-    jac = _free_jacobian(model, sample.nodes, sample.x, _assemble_theta(model, 0.0))
-    theta = _assemble_theta(model, _solve_linear(sample, model, config.weight, jac))
-    return _estimate(sample, model, theta, jac, config, converged=True, iterations=0)
+def _linear_split(sample, model) -> tuple[np.ndarray, np.ndarray]:
+    """A linear field on the sample as F = D2F theta_free + F(theta_free = 0): (free D2F, offset).
+
+    Neither part depends on theta or the weight, so one split serves every
+    weight's solve, J*, gamma_s and gamma_b.
+    """
+    theta0 = _assemble_theta(model, 0.0)
+    offset = np.asarray(model.field(sample.nodes, sample.x, theta0), dtype=float)
+    return _free_jacobian(model, sample.nodes, sample.x, theta0), offset
+
+
+def _fit_linear(sample, model, config, jac, offset) -> TwoStepEstimate:
+    """fit_linear_in_theta on a sample of the fit and its _linear_split, without the input checks."""
+    w = config.weight(sample.nodes)
+    theta = _assemble_theta(model, _solve_linear(sample, model, w, jac, offset))
+    return _estimate(sample, model, theta, jac, w, converged=True, iterations=0)
 
 
 def fit_nonlinear(fit: SplineFit, model: VectorFieldModel, theta_init, config: CriterionConfig) -> TwoStepEstimate:
@@ -359,7 +371,8 @@ def fit_nonlinear(fit: SplineFit, model: VectorFieldModel, theta_init, config: C
     is returned as the estimate, with converged False and iterations 0.
     """
     sample = _sample_path(fit)
-    scale = np.sqrt(config.weight(sample.nodes) * sample.delta)
+    w = config.weight(sample.nodes)
+    scale = np.sqrt(w * sample.delta)
     free = model.free_indices
 
     def residual(z):
@@ -375,7 +388,7 @@ def fit_nonlinear(fit: SplineFit, model: VectorFieldModel, theta_init, config: C
     z, _, converged, iterations = _damped_gauss_newton(residual, jacobian, z0) or (z0, np.inf, False, 0)
     theta = _assemble_theta(model, z)
     jac = _free_jacobian(model, sample.nodes, sample.x, theta)
-    return _estimate(sample, model, theta, jac, config, converged, iterations)
+    return _estimate(sample, model, theta, jac, w, converged, iterations)
 
 
 def estimate_weights(fit: SplineFit, model: VectorFieldModel, criteria: dict) -> dict:
@@ -389,7 +402,8 @@ def estimate_weights(fit: SplineFit, model: VectorFieldModel, criteria: dict) ->
     if not model.linear:
         raise ValueError("model is not declared linear in its parameters")
     sample = _sample_path(fit)
-    return {name: _fit_linear(sample, model, crit) for name, crit in criteria.items()}
+    split = _linear_split(sample, model)
+    return {name: _fit_linear(sample, model, crit, *split) for name, crit in criteria.items()}
 
 
 def _diagnostic_sample(path, model: VectorFieldModel, theta, weight: WeightFunction, nodes):

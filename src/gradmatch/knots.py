@@ -23,7 +23,12 @@ subset is rank-deficient, and a move from such a subset factors its
 successor afresh.  The chosen subset is solved once on the n rows; that one
 solve gives the fit, read in the grid's basis by T_S, and its gcv_value.  The
 grid-only tables (jumps, Greville sites, collocation inverse, truncated
-powers) are built once per grid and shared, read-only, by its searches.
+powers, and T_grid, the full grid's refinement every search starts from)
+are built once per grid and shared, read-only, by its searches.  So is
+B_grid on the observation times, once per grid and times: every replication
+of a study shares both, and the n x K design is the largest table (about
+136 KB at n = 500, K = 34).  Both caches are bounded and fill on first use,
+never at import.
 """
 
 from __future__ import annotations
@@ -170,7 +175,7 @@ class _Subset:
 
 @lru_cache(maxsize=16)
 def _grid_tables(basis: BSplineBasis) -> tuple[np.ndarray, ...]:
-    """The read-only tables of a candidate grid's basis: jumps, sites, collocate, powers (see _NestedSpace)."""
+    """The read-only tables of a candidate grid's basis: jumps, sites, collocate, powers, T_grid (see _NestedSpace)."""
     order = basis.knots.order
     # the (order-1)-th derivative is constant on each span; row j is its jump at grid[j]
     bps = basis.knots.breakpoints
@@ -182,12 +187,20 @@ def _grid_tables(basis: BSplineBasis) -> tuple[np.ndarray, ...]:
     # column j: grid coefficients of the truncated power (t - grid[j])_+^(order - 1)
     grid = np.asarray(basis.knots.interior_knots)
     powers = collocate @ np.clip(sites[:, None] - grid[None, :], 0.0, None) ** (order - 1)
-    return splines.read_only(jumps, sites, collocate, powers)
+    # T_S of the full grid, where every search starts
+    refine = collocate @ eval_basis(basis, sites)
+    return splines.read_only(jumps, sites, collocate, powers, refine)
+
+
+@lru_cache(maxsize=8)
+def _grid_design(basis: BSplineBasis, times: bytes) -> np.ndarray:
+    """The design of the basis on the float64 times of these bytes, read-only, shared by every search on both."""
+    return splines.read_only(design_matrix(basis, np.frombuffer(times)))[0]
 
 
 def _refinement(grid_basis: BSplineBasis, basis: BSplineBasis) -> np.ndarray:
     """T_S, with B_S = B_grid T_S: the grid coefficients of each B-spline of the subset basis B_S."""
-    _, sites, collocate, _ = _grid_tables(grid_basis)
+    _, sites, collocate, _, _ = _grid_tables(grid_basis)
     return collocate @ eval_basis(basis, sites)
 
 
@@ -210,15 +223,17 @@ class _NestedSpace:
         self.n = ts.size
         self.trials = 0
         self.basis = BSplineBasis(KnotSequence(interval, tuple(grid), order))
-        design = design_matrix(self.basis, ts)
+        design = _grid_design(self.basis, ts.tobytes())
         dim = design.shape[1]
         r = np.linalg.qr(np.hstack((design, ys)), mode="r")
         self.rb, self.ry = r[:, :dim], r[:, dim:]
-        self.jumps, self.sites, self.collocate, self.powers = _grid_tables(self.basis)
+        self.jumps, self.sites, self.collocate, self.powers, self.full = _grid_tables(self.basis)
         self.directions = self.rb @ self.powers
 
     def refinement(self, idx) -> np.ndarray:
-        """T_S of the subset idx (see _refinement)."""
+        """T_S of the subset idx (see _refinement); the full grid's is tabulated."""
+        if len(idx) == len(self.grid):
+            return self.full
         return _refinement(self.basis, BSplineBasis(KnotSequence(self.interval, tuple(self.grid[idx]), self.order)))
 
     def _fit(self, q, coef) -> _Basis:
@@ -273,26 +288,28 @@ class _NestedSpace:
         coef = np.column_stack((fit.coef, (self.powers[:, j] - fit.coef @ a) / norm))
         return _Subset(idx, self._fit(q, coef))
 
-    def _scores(self, subset: _Subset, trials: list, num_knots: int, nested) -> np.ndarray:
-        """Scores of the trial subsets of m = num_knots knots each.
+    def _scores(self, subset: _Subset, count: int, num_knots: int, nested, trials) -> np.ndarray:
+        """Scores of the count trial subsets of m = num_knots knots each.
 
         +inf when 3m + 1 >= n; else nested(subset.fit); else, when the
-        subset is rank-deficient or nested returns None, gcv_score.
+        subset is rank-deficient or nested returns None, gcv_score of each
+        subset trials() lists.
         """
-        self.trials += len(trials)
+        self.trials += count
         if effective_params(num_knots) >= self.n:
-            return np.full(len(trials), np.inf)
+            return np.full(count, np.inf)
         fit = subset.fit
         scores = None if fit is None else nested(fit)
         if scores is None:
             scores = np.array(
-                [_subset_score(self.ts, self.ys, self.grid[t], self.order, self.interval) for t in trials]
+                [_subset_score(self.ts, self.ys, self.grid[t], self.order, self.interval) for t in trials()]
             )
         return scores
 
     def score(self, subset: _Subset) -> float:
         m = len(subset.idx)
-        return float(self._scores(subset, [subset.idx], m, lambda fit: _gcv(fit.rss[None, :], self.n, m))[0])
+        nested = lambda fit: _gcv(fit.rss[None, :], self.n, m)
+        return float(self._scores(subset, 1, m, nested, lambda: [subset.idx])[0])
 
     def drop_scores(self, subset: _Subset) -> np.ndarray:
         """Scores of S without its pos-th knot, for every pos.
@@ -306,7 +323,8 @@ class _NestedSpace:
             rise = (w.T @ fit.qty) ** 2 / np.sum(w**2, axis=0)[:, None]
             return _gcv(fit.rss + rise, self.n, len(idx) - 1)
 
-        return self._scores(subset, [idx[:p] + idx[p + 1 :] for p in range(len(idx))], len(idx) - 1, nested)
+        trials = lambda: [idx[:p] + idx[p + 1 :] for p in range(len(idx))]
+        return self._scores(subset, len(idx), len(idx) - 1, nested, trials)
 
     def add_scores(self, subset: _Subset, pool: list) -> np.ndarray:
         """Scores of S plus knot j, for every j in pool.
@@ -327,7 +345,7 @@ class _NestedSpace:
             fall = (h.T @ fit.resid) ** 2 / hh[:, None]
             return _gcv(fit.rss - fall, self.n, len(idx) + 1)
 
-        return self._scores(subset, [sorted(idx + [j]) for j in pool], len(idx) + 1, nested)
+        return self._scores(subset, len(pool), len(idx) + 1, nested, lambda: [sorted(idx + [j]) for j in pool])
 
 
 def elim_add(times, y, interval, candidate_count: int) -> SelectionResult:

@@ -90,26 +90,31 @@ def glv_field(fixed_mask=None, fixed_values=None) -> VectorFieldModel:
         x, y = np.asarray(state).T
         return np.array([x * (a1 * x + a2 * y + a3), y * (b1 * x + b2 * y + b3)]).T
 
+    # the Jacobians fill one array each, with the bits of stacking their entries
     def jacobian_state(t, state, theta):
         theta = np.asarray(theta, dtype=float)
         x = state[..., 0]
         y = state[..., 1]
-        dxx = 2 * theta[0] * x + theta[1] * y + theta[2]
-        dxy = theta[1] * x
-        dyx = theta[3] * y
-        dyy = theta[3] * x + 2 * theta[4] * y + theta[5]
-        return np.stack(
-            [np.stack([dxx, dxy], axis=-1), np.stack([dyx, dyy], axis=-1)], axis=-2
-        )
+        out = np.empty(np.shape(x) + (2, 2))
+        out[..., 0, 0] = 2 * theta[0] * x + theta[1] * y + theta[2]
+        out[..., 0, 1] = theta[1] * x
+        out[..., 1, 0] = theta[3] * y
+        out[..., 1, 1] = theta[3] * x + 2 * theta[4] * y + theta[5]
+        return out
 
     def jacobian_param(t, state, theta):
         state = np.asarray(state, dtype=float)
         x = state[..., 0]
         y = state[..., 1]
-        z = np.zeros_like(x)
-        row0 = np.stack([x * x, x * y, x, z, z, z], axis=-1)
-        row1 = np.stack([z, z, z, x * y, y * y, y], axis=-1)
-        return np.stack([row0, row1], axis=-2)
+        xy = x * y
+        out = np.zeros(x.shape + (2, 6))
+        out[..., 0, 0] = x * x
+        out[..., 0, 1] = xy
+        out[..., 0, 2] = x
+        out[..., 1, 3] = xy
+        out[..., 1, 4] = y * y
+        out[..., 1, 5] = y
+        return out
 
     return VectorFieldModel(
         dim=2,
@@ -138,20 +143,16 @@ def damped_linear_field(fixed_mask=None, fixed_values=None) -> VectorFieldModel:
 
     def jacobian_state(t, state, theta):
         theta = np.asarray(theta, dtype=float)
-        u = state[..., 0]
-        one = np.ones_like(u)
-        z = np.zeros_like(u)
-        return np.stack(
-            [np.stack([z, one], axis=-1), np.stack([theta[0] * one, theta[1] * one], axis=-1)],
-            axis=-2,
-        )
+        out = np.empty(np.shape(state[..., 0]) + (2, 2))
+        out[..., 0, :] = (0.0, 1.0)
+        out[..., 1, :] = theta[:2]
+        return out
 
     def jacobian_param(t, state, theta):
         state = np.asarray(state, dtype=float)
-        u = state[..., 0]
-        v = state[..., 1]
-        z = np.zeros_like(u)
-        return np.stack([np.stack([z, z], axis=-1), np.stack([u, v], axis=-1)], axis=-2)
+        out = np.zeros(state.shape[:-1] + (2, 2))
+        out[..., 1, :] = state[..., :2]
+        return out
 
     return VectorFieldModel(
         dim=2,

@@ -47,6 +47,8 @@ class KnotSequence:
             raise GradMatchError(f"order must be >= 2, got {self.order}")
         ks = np.asarray(self.interior_knots, dtype=float)
         if ks.size:
+            if not np.all(np.isfinite(ks)):
+                raise GradMatchError("interior knots must be finite")
             if np.any(np.diff(ks) <= 0.0):
                 raise GradMatchError("interior knots must be strictly increasing")
             if ks[0] <= lo or ks[-1] >= hi:

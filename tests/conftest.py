@@ -1,4 +1,4 @@
-"""Shared pytest plumbing: the acceptance-criterion scoreboard and the truncated power basis.
+"""Shared pytest plumbing: the acceptance-criterion scoreboard, the truncated power basis and GLV's stacked D2F.
 
 Acceptance tests (tests/test_acceptance.py) each cover one numbered criterion
 and record a PASS/FAIL verdict here; at the end of the run one line per
@@ -26,6 +26,16 @@ def truncated_power_design(interval, interior_knots, order, times):
     poly = ts[:, None] ** np.arange(order)[None, :]
     trunc = np.clip(ts[:, None] - ks[None, :], 0.0, None) ** (order - 1)
     return np.hstack([poly, trunc])
+
+
+def glv_param_jacobian_stacked(state):
+    """GLV's D2F, (..., 2, 6), as nested np.stack: the oracle for the model's filled array."""
+    x = state[..., 0]
+    y = state[..., 1]
+    z = np.zeros_like(x)
+    row0 = np.stack([x * x, x * y, x, z, z, z], axis=-1)
+    row1 = np.stack([z, z, z, x * y, y * y, y], axis=-1)
+    return np.stack([row0, row1], axis=-2)
 
 _RESULTS = {}
 _COLLECTED = set()

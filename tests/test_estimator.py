@@ -40,6 +40,8 @@ from gradmatch import (
 from gradmatch import estimator
 from gradmatch.errors import BlowupError
 
+from conftest import glv_param_jacobian_stacked
+
 THETA_CASE1 = np.array([0.0, -1.5, 1.0, 2.0, 0.0, -1.5])
 CASE1_MASK = np.array([True, False, False, False, True, False])
 
@@ -146,14 +148,19 @@ def noisy_case1_fit(seed=23, n_obs=500, n_knots=20):
 
 
 def logged_param_jacobian(model):
-    """A copy of the model whose jacobian_param logs the row count of each call."""
-    rows = []
+    """A copy of the model whose jacobian_param and field log each call: (name, row count, theta)."""
+    calls = []
 
-    def logged(t, state, theta):
-        rows.append(np.asarray(t).size)
-        return model.jacobian_param(t, state, theta)
+    def logged(name):
+        original = getattr(model, name)
 
-    return dataclasses.replace(model, jacobian_param=logged), rows
+        def call(t, state, theta):
+            calls.append((name, np.asarray(t).size, tuple(np.asarray(theta, dtype=float))))
+            return original(t, state, theta)
+
+        return call
+
+    return dataclasses.replace(model, jacobian_param=logged("jacobian_param"), field=logged("field")), calls
 
 
 def glv_decomposition(fixed_mask, fixed_values):
@@ -161,19 +168,11 @@ def glv_decomposition(fixed_mask, fixed_values):
     free = np.nonzero(~fixed_mask)[0]
     fixed = np.nonzero(fixed_mask)[0]
 
-    def param_jacobian(state):
-        x = state[..., 0]
-        y = state[..., 1]
-        z = np.zeros_like(x)
-        row0 = np.stack([x * x, x * y, x, z, z, z], axis=-1)
-        row1 = np.stack([z, z, z, x * y, y * y, y], axis=-1)
-        return np.stack([row0, row1], axis=-2)
-
     def linear_basis(t, state):
-        return param_jacobian(np.asarray(state, dtype=float))[..., :, free]
+        return glv_param_jacobian_stacked(np.asarray(state, dtype=float))[..., :, free]
 
     def linear_offset(t, state):
-        jac = param_jacobian(np.asarray(state, dtype=float))
+        jac = glv_param_jacobian_stacked(np.asarray(state, dtype=float))
         return jac[..., :, fixed] @ fixed_values[fixed] if fixed.size else np.zeros(jac.shape[:-1])
 
     return linear_basis, linear_offset
@@ -569,11 +568,11 @@ class TestEstimateFromOneSample:
     def test_closed_form_evaluates_param_jacobian_once_on_the_grid(self):
         fit = noisy_case1_fit()
         config = CriterionConfig(weight=WeightFunction.uniform((0.0, 20.0)))
-        model, rows = logged_param_jacobian(case1_model())
+        model, calls = logged_param_jacobian(case1_model())
         fit_linear_in_theta(fit, model, config)
         nodes, _ = quadrature_grid(fit)
-        # J*, gamma_s and gamma_b share one call on the grid
-        assert rows == [nodes.size]
+        # the solve, J*, gamma_s and gamma_b share one call on the grid
+        assert [rows for name, rows, _ in calls if name == "jacobian_param"] == [nodes.size]
 
     def test_nonfinite_path_raises_linear_algebra_error(self):
         fit = noisy_case1_fit()
@@ -621,6 +620,19 @@ class TestEstimateWeights:
             assert list(got) == list(criteria)
             for name, crit in criteria.items():
                 assert_same_estimate(got[name], fit_linear_in_theta(fit, model, crit), (rep, name))
+
+    def test_both_weights_share_one_param_jacobian_and_one_offset(self):
+        fit = noisy_case1_fit()
+        model, calls = logged_param_jacobian(case1_model())
+        criteria = {name: CriterionConfig(WeightFunction.named(name, (0.0, 20.0))) for name in ("boundary", "uniform")}
+        got = estimate_weights(fit, model, criteria)
+        m = quadrature_grid(fit)[0].size
+        theta0 = tuple(estimator._assemble_theta(model, 0.0))
+        assert [call for call in calls if call[0] == "jacobian_param"] == [("jacobian_param", m, theta0)]
+        assert [call for call in calls if call[0] == "field" and call[2] == theta0] == [("field", m, theta0)]
+        # besides the offset, the field is evaluated once per weight, for its criterion at the estimate
+        at_estimates = [call[2] for call in calls if call[0] == "field" and call[2] != theta0]
+        assert at_estimates == [tuple(est.theta_hat) for est in got.values()]
 
     def test_no_criteria_raise(self):
         with pytest.raises(ValueError, match="criterion"):

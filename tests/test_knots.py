@@ -393,8 +393,11 @@ class TestGridTables:
         ts = np.linspace(0.0, 20.0, 200)
         first = knots._NestedSpace(ts, np.sin(ts)[:, None], interval, grid, order)
         second = knots._NestedSpace(ts, np.cos(ts)[:, None], interval, grid, order)
-        fresh = knots._grid_tables.__wrapped__(BSplineBasis(KnotSequence(interval, tuple(grid), order)))
-        for name, want in zip(("jumps", "sites", "collocate", "powers"), fresh):
+        basis = BSplineBasis(KnotSequence(interval, tuple(grid), order))
+        fresh = knots._grid_tables.__wrapped__(basis)
+        names = ("jumps", "sites", "collocate", "powers", "full")
+        assert len(fresh) == len(names)
+        for name, want in zip(names, fresh):
             got = getattr(first, name)
             assert got is getattr(second, name), name  # built once per grid
             assert got.tobytes() == want.tobytes() and got.shape == want.shape, name
@@ -402,11 +405,41 @@ class TestGridTables:
             with pytest.raises(ValueError):
                 got[0] = 0.0
 
+    def test_the_search_starts_from_the_tabulated_full_grid_refinement(self):
+        interval, order = (0.0, 20.0), 4
+        grid = uniform_knots(interval, 30)
+        ts = np.linspace(0.0, 20.0, 200)
+        space = knots._NestedSpace(ts, np.sin(ts)[:, None], interval, grid, order)
+        full = knots._grid_tables(space.basis)[4]
+        assert space.refinement(list(range(30))) is full
+        # T_grid is the refinement of the grid in its own basis, with the bits a subset's would have
+        assert full.tobytes() == knots._refinement(space.basis, space.basis).tobytes()
+
+    def test_cached_design_is_read_only_and_equals_design_matrix(self, monkeypatch):
+        interval, order = (0.0, 20.0), 4
+        grid = uniform_knots(interval, 30)
+        basis = BSplineBasis(KnotSequence(interval, tuple(grid), order))
+        ts = np.linspace(0.0, 20.0, 200)
+        design = knots._grid_design(basis, ts.tobytes())
+        want = design_matrix(basis, ts)
+        assert design.shape == want.shape and design.tobytes() == want.tobytes()
+        assert not design.flags.writeable
+        with pytest.raises(ValueError):
+            design[0, 0] = 1.0
+        assert knots._grid_design(basis, ts.copy().tobytes()) is design
+        assert knots._grid_design(basis, ts[:-1].tobytes()) is not design
+        assert knots._grid_design.cache_info().maxsize is not None
+        # a search on the same grid and times builds no design of its own
+        calls = []
+        monkeypatch.setattr(knots, "design_matrix", lambda *args: calls.append(args))
+        knots._NestedSpace(ts, np.sin(ts)[:, None], interval, grid, order)
+        assert calls == []
+
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
     def test_powers_are_the_truncated_powers_at_the_sites_bit_for_bit(self, order):
         for interval, count in (((0.0, 2.0), 7), ((0.0, 20.0), 30), ((0.0, 19.9), 0)):
             grid = uniform_knots(interval, count)
-            _, sites, collocate, powers = knots._grid_tables(BSplineBasis(KnotSequence(interval, tuple(grid), order)))
+            _, sites, collocate, powers, _ = knots._grid_tables(BSplineBasis(KnotSequence(interval, tuple(grid), order)))
             want = collocate @ truncated_power_design(interval, grid, order, sites)[:, order:]
             assert want.shape == (grid.size + order, grid.size)
             assert np.array_equal(powers, want), (interval, count)

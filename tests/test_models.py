@@ -29,6 +29,8 @@ from gradmatch.models import (
     write_trajectory_csv,
 )
 
+from conftest import glv_param_jacobian_stacked
+
 THETA_CASE1 = np.array([0.0, -1.5, 1.0, 2.0, 0.0, -1.5])
 
 # the cycle and damped designs of configs/full_case1.json and full_case2.json
@@ -179,6 +181,55 @@ def test_registered_field_is_affine_in_its_free_parameters(name):
         np.testing.assert_array_equal(jac, model.jacobian_param(ts, states, rng.normal(size=n_params)))
         recomposed = jac[:, :, model.free_indices] @ theta[~mask] + model.field(ts, states, values)
         np.testing.assert_allclose(recomposed, model.field(ts, states, theta), rtol=0, atol=1e-12)
+
+
+def glv_state_jacobian_stacked(state, theta):
+    x = state[..., 0]
+    y = state[..., 1]
+    dxx = 2 * theta[0] * x + theta[1] * y + theta[2]
+    dxy = theta[1] * x
+    dyx = theta[3] * y
+    dyy = theta[3] * x + 2 * theta[4] * y + theta[5]
+    return np.stack([np.stack([dxx, dxy], axis=-1), np.stack([dyx, dyy], axis=-1)], axis=-2)
+
+
+def damped_state_jacobian_stacked(state, theta):
+    u = state[..., 0]
+    one = np.ones_like(u)
+    z = np.zeros_like(u)
+    return np.stack([np.stack([z, one], axis=-1), np.stack([theta[0] * one, theta[1] * one], axis=-1)], axis=-2)
+
+
+def damped_param_jacobian_stacked(state):
+    u = state[..., 0]
+    v = state[..., 1]
+    z = np.zeros_like(u)
+    return np.stack([np.stack([z, z], axis=-1), np.stack([u, v], axis=-1)], axis=-2)
+
+
+# each registered model's (D1F, D2F) as nested np.stack, the form the models' filled arrays replace
+STACKED_JACOBIANS = {
+    "glv": (glv_state_jacobian_stacked, lambda state, theta: glv_param_jacobian_stacked(state)),
+    "custom-linear-partial": (damped_state_jacobian_stacked, lambda state, theta: damped_param_jacobian_stacked(state)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+def test_jacobians_equal_the_stacked_forms_bit_for_bit(name):
+    model = MODEL_REGISTRY[name].build()
+    want_state, want_param = STACKED_JACOBIANS[name]
+    rng = np.random.default_rng(5)
+    theta = rng.normal(size=model.n_params)
+    batch = rng.uniform(-3.0, 3.0, size=(1044, model.dim))
+    states = [batch, batch[0], batch[:1], np.array([[-0.0, 0.0], [np.inf, np.nan]])]
+    for state in states:
+        ts = np.zeros(state.shape[:-1])
+        for got, want in (
+            (model.jacobian_state(ts, state, theta), want_state(state, theta)),
+            (model.jacobian_param(ts, state, theta), want_param(state, theta)),
+        ):
+            assert got.shape == want.shape and got.dtype == want.dtype, state.shape
+            assert got.tobytes() == want.tobytes(), state.shape
 
 
 class TestDampedLinearField:

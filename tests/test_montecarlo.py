@@ -69,6 +69,15 @@ def case1_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def clear_program_caches():
+    """Empty every functools cache in the gradmatch modules, as in a fresh process."""
+    for name, module in list(sys.modules.items()):
+        if name == "gradmatch" or name.startswith("gradmatch."):
+            for value in list(vars(module).values()):
+                if getattr(value, "__module__", None) == name and callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
 @pytest.fixture
 def cold_truth():
     """Empty the truth caches before and after a test, as in a fresh process."""
@@ -244,23 +253,46 @@ class TestRunReplication:
         }
 
     def test_one_design_for_the_search_and_one_for_the_chosen_fit(self, monkeypatch):
-        calls = {}
+        calls = []
 
         def counted(module, name):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
+                calls.append(f"{module.__name__.rsplit('.', 1)[-1]}.{name}")
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(knots, "design_matrix")  # the search's factor
+        counted(knots, "design_matrix")  # the search's grid design on the times
         counted(splines, "design_matrix")  # the chosen subset's one solve
         counted(knots, "gcv_score")
-        result = run_replication(case1_config(), 0)
-        assert result.ok
-        assert calls == {"design_matrix": 2}
+        config = case1_config()
+        knots._grid_design.cache_clear()
+        assert run_replication(config, 0).ok
+        assert calls == ["knots.design_matrix", "splines.design_matrix"]
+        # every replication shares the grid and the times, so later ones build only the chosen subset's design
+        calls.clear()
+        assert run_replication(config, 1).ok
+        assert calls == ["splines.design_matrix"]
+
+    @pytest.mark.parametrize("design", ["cycle", "damped"])
+    def test_cold_caches_give_the_warm_replication_bit_for_bit(self, design):
+        damped = dict(theta_star=(0.0, -1.5, 1.0, 1.5, -1.0, -1.5), fixed={"a1": 0.0, "b2": -1.0}, x0=(4.0, 2.0))
+        config = case1_config(n=500) if design == "cycle" else case1_config(n=500, **damped)
+        clear_program_caches()
+        assert knots._grid_design.cache_info().currsize == 0
+        cold = run_replication(config, 1)
+        warm = run_replication(config, 1)
+        assert knots._grid_design.cache_info().hits >= 1
+        assert cold.ok and warm.ok
+        assert cold.selected_knots == warm.selected_knots
+        assert cold.curve_rmse.tobytes() == warm.curve_rmse.tobytes()
+        assert list(cold.estimates) == list(warm.estimates)
+        for name, est in cold.estimates.items():
+            for field in dataclasses.fields(est):
+                a, b = np.asarray(getattr(est, field.name)), np.asarray(getattr(warm.estimates[name], field.name))
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, field.name)
 
     @pytest.mark.parametrize("design", ["cycle", "damped"])
     def test_diagnostics_equal_the_public_functionals_on_the_fit(self, design):

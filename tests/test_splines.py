@@ -139,6 +139,15 @@ class TestKnotSequence:
         with pytest.raises(GradMatchError, match="order must be >= 2"):
             KnotSequence((0.0, 1.0), (), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_rejects_non_finite_interior_knots(self, bad, position):
+        # a NaN knot passes the order and range comparisons, and its basis no longer sums to one
+        knots = [0.25, 0.5]
+        knots[position] = bad
+        with pytest.raises(GradMatchError, match="interior knots must be finite"):
+            KnotSequence((0.0, 1.0), tuple(knots))
+
 
 class TestBasisEvaluation:
     @pytest.mark.parametrize("ks", CASES)
