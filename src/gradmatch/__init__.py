@@ -20,7 +20,6 @@ from .splines import (
     BSplineBasis,
     KnotSequence,
     SplineFit,
-    augment_knots,
     design_matrix,
     eval_basis,
     eval_basis_derivative,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc = sub.add_parser("mc", help="replicated simulation study from a JSON config")
     mc.add_argument("--config", required=True, help="JSON experiment configuration")
     mc.add_argument("--out-dir", required=True, help="directory for summary and raw CSV files")
-    mc.add_argument("--jobs", type=int, default=1, help="parallel replication workers, at least 1")
+    mc.add_argument("--jobs", type=int, default=1, help="parallel replication workers, at least 1 (at most one per CPU)")
     return parser
 
 
@@ -139,8 +140,7 @@ def cmd_simulate(args) -> int:
             **options,
         )
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(err)
     try:
         times, ys = simulate_data(config, 0)
     except BlowupError as err:
@@ -156,41 +156,31 @@ def cmd_fit(args) -> int:
     try:
         data = read_trajectory_csv(args.data)
     except (OSError, GradMatchError, ValueError) as err:
-        print(f"error: cannot read {args.data!r}: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"cannot read {args.data!r}: {err}")
 
     spec = get_model_spec(args.model)
     if data.states.shape[1] != spec.dim:
-        print(
-            f"error: data has {data.states.shape[1]} state columns, model {args.model!r} needs {spec.dim}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ConfigError(f"data has {data.states.shape[1]} state columns, model {args.model!r} needs {spec.dim}")
+    fixed = spec.default_fixed if args.theta_fixed is None else _parse_fixed_pairs(args.theta_fixed)
     try:
-        fixed = spec.default_fixed if args.theta_fixed is None else _parse_fixed_pairs(args.theta_fixed)
         model = spec.build(fixed)
-    except (ConfigError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    except KeyError as err:
+        raise ConfigError(err)
     try:
         policy = KnotPolicy() if args.knots == "auto" else KnotPolicy(int(args.knots), selection="fixed-uniform")
     except ValueError:
-        print(f"error: --knots expects 'auto' or an integer >= 0, got {args.knots!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"--knots expects 'auto' or an integer >= 0, got {args.knots!r}")
 
     interval = (float(data.times[0]), float(data.times[-1]))
     try:
         fit = select_knots(data.times, data.states, interval, policy).fit
     except GradMatchError as err:
-        print(f"error: first-step fit failed: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"first-step fit failed: {err}")
     if fit.rank_deficient:
-        print(
-            f"error: first-step fit is rank-deficient: {fit.basis.dimension} spline coefficients "
-            f"for n = {data.times.size} observations; use fewer knots",
-            file=sys.stderr,
+        raise ConfigError(
+            f"first-step fit is rank-deficient: {fit.basis.dimension} spline coefficients "
+            f"for n = {data.times.size} observations; use fewer knots"
         )
-        return EXIT_USAGE
 
     criteria = {args.weight: CriterionConfig(weight=WeightFunction.named(args.weight, interval))}
     try:
@@ -251,13 +241,8 @@ def load_mc_config(path) -> dict:
 
 def cmd_mc(args) -> int:
     if args.jobs < 1:
-        print(f"error: --jobs expects an integer >= 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        raw = load_mc_config(args.config)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"--jobs expects an integer >= 1, got {args.jobs}")
+    raw = load_mc_config(args.config)
 
     # every n is checked before any replication runs or any output is written;
     # a key the config leaves out takes ExperimentConfig's default
@@ -271,8 +256,7 @@ def cmd_mc(args) -> int:
             }
             config = ExperimentConfig(n=_integer(n, "n_list entry"), **fields)
         except (ValueError, KeyError, TypeError) as err:
-            print(f"error: invalid config for n={n}: {err}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ConfigError(f"invalid config for n={n}: {err}")
         configs.append(config)
 
     out_dir = Path(args.out_dir)
@@ -281,8 +265,8 @@ def cmd_mc(args) -> int:
     label = raw.get("label", "experiment")
 
     tables = []
-    # one pool serves every n, so its workers keep their caches across the sweep
-    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
+    # one pool of at most one worker per CPU serves every n, so its workers keep their caches across the sweep
+    with ProcessPoolExecutor(max_workers=min(args.jobs, os.cpu_count() or 1)) if args.jobs > 1 else nullcontext() as pool:
         for n, config in zip(raw["n_list"], configs):
             try:
                 table = run_experiment(config, n_jobs=args.jobs, pool=pool)

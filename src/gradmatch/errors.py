@@ -38,7 +38,7 @@ class IdentifiabilityWarning(UserWarning):
 
 
 class ConfigError(GradMatchError):
-    """Configuration document failed validation."""
+    """A usage or configuration problem; the CLI exits 2."""
 
 
 class ExperimentError(GradMatchError):

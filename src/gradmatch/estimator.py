@@ -337,28 +337,7 @@ def fit_linear_in_theta(fit: SplineFit, model: VectorFieldModel, config: Criteri
     stacked system, which also supplies the rank check.  A rank-deficient
     stack raises IdentifiabilityError naming the unidentified directions.
     """
-    if not model.linear:
-        raise ValueError("model is not declared linear in its parameters")
-    sample = _sample_path(fit)
-    return _fit_linear(sample, model, config, *_linear_split(sample, model))
-
-
-def _linear_split(sample, model) -> tuple[np.ndarray, np.ndarray]:
-    """A linear field on the sample as F = D2F theta_free + F(theta_free = 0): (free D2F, offset).
-
-    Neither part depends on theta or the weight, so one split serves every
-    weight's solve, J*, gamma_s and gamma_b.
-    """
-    theta0 = _assemble_theta(model, 0.0)
-    offset = np.asarray(model.field(sample.nodes, sample.x, theta0), dtype=float)
-    return _free_jacobian(model, sample.nodes, sample.x, theta0), offset
-
-
-def _fit_linear(sample, model, config, jac, offset) -> TwoStepEstimate:
-    """fit_linear_in_theta on a sample of the fit and its _linear_split, without the input checks."""
-    w = config.weight(sample.nodes)
-    theta = _assemble_theta(model, _solve_linear(sample, model, w, jac, offset))
-    return _estimate(sample, model, theta, jac, w, converged=True, iterations=0)
+    return estimate_weights(fit, model, {None: config})[None]
 
 
 def fit_nonlinear(fit: SplineFit, model: VectorFieldModel, theta_init, config: CriterionConfig) -> TwoStepEstimate:
@@ -394,16 +373,23 @@ def fit_nonlinear(fit: SplineFit, model: VectorFieldModel, theta_init, config: C
 def estimate_weights(fit: SplineFit, model: VectorFieldModel, criteria: dict) -> dict:
     """fit_linear_in_theta's estimate per named criterion, every one read off one sample of the fit.
 
-    ValueError for no criteria, or for a model not declared linear (fit_nonlinear
-    takes those, from a start).
+    One split F = D2F theta_free + F(theta_free = 0) serves every weight.  ValueError for no
+    criteria, or for a model not declared linear (fit_nonlinear takes those, from a start).
     """
     if not criteria:
         raise ValueError("need at least one criterion")
     if not model.linear:
         raise ValueError("model is not declared linear in its parameters")
     sample = _sample_path(fit)
-    split = _linear_split(sample, model)
-    return {name: _fit_linear(sample, model, crit, *split) for name, crit in criteria.items()}
+    theta0 = _assemble_theta(model, 0.0)
+    offset = np.asarray(model.field(sample.nodes, sample.x, theta0), dtype=float)
+    jac = _free_jacobian(model, sample.nodes, sample.x, theta0)
+    estimates = {}
+    for name, crit in criteria.items():
+        w = crit.weight(sample.nodes)
+        theta = _assemble_theta(model, _solve_linear(sample, model, w, jac, offset))
+        estimates[name] = _estimate(sample, model, theta, jac, w, converged=True, iterations=0)
+    return estimates
 
 
 def _diagnostic_sample(path, model: VectorFieldModel, theta, weight: WeightFunction, nodes):

@@ -144,13 +144,6 @@ def gcv_score(times, y, knot_subset, order: int, interval) -> float:
     return float(_gcv(splines._least_squares(basis, ts, ys)[1], n, len(knot_subset)))
 
 
-def _subset_score(times, ys, subset, order, interval):
-    try:
-        return gcv_score(times, ys, subset, order, interval)
-    except DegreesOfFreedomError:
-        return np.inf
-
-
 @dataclass(frozen=True)
 class _Basis:
     """An orthonormal basis q = R_B C of span(R_B T_S), and R_Y's fit on it.
@@ -302,7 +295,7 @@ class _NestedSpace:
         scores = None if fit is None else nested(fit)
         if scores is None:
             scores = np.array(
-                [_subset_score(self.ts, self.ys, self.grid[t], self.order, self.interval) for t in trials()]
+                [gcv_score(self.ts, self.ys, self.grid[t], self.order, self.interval) for t in trials()]
             )
         return scores
 
@@ -356,7 +349,8 @@ def elim_add(times, y, interval, candidate_count: int) -> SelectionResult:
     knot that lowers it the most.  Sweeps alternate until neither changes the
     subset or ten sweeps have run.  While the current subset has too many
     effective parameters for the sample (score undefined, treated as +inf),
-    elimination is forced so the walk always reaches scoreable territory.
+    elimination is forced so the walk always reaches scoreable territory;
+    from there every move lowers the score, so it ends on its best subset.
     Ties break toward the smaller knot index, so the walk is deterministic.
     Trials are scored in the grid's nested spline space (see the module
     docstring).  The chosen subset is solved once on the n rows: that solve
@@ -371,9 +365,7 @@ def elim_add(times, y, interval, candidate_count: int) -> SelectionResult:
     space = _NestedSpace(ts, ys, interval, grid, KnotPolicy.order)
     current = space.factor(list(range(candidate_count)))
     current_score = space.score(current)
-    best_subset, best_score = current.idx, current_score
 
-    sweeps = 0
     for sweeps in range(1, _MAX_SWEEPS + 1):
         changed = False
 
@@ -385,8 +377,6 @@ def elim_add(times, y, interval, candidate_count: int) -> SelectionResult:
                 current = space.drop(current, pos)
                 current_score = float(scores[pos])
                 changed = True
-                if current_score < best_score:
-                    best_subset, best_score = current.idx, current_score
             else:
                 break
 
@@ -400,19 +390,17 @@ def elim_add(times, y, interval, candidate_count: int) -> SelectionResult:
                 current = space.add(current, pool[pos])
                 current_score = float(scores[pos])
                 changed = True
-                if current_score < best_score:
-                    best_subset, best_score = current.idx, current_score
             else:
                 break
 
         if not changed:
             break
 
-    if not np.isfinite(best_score):
+    if not np.isfinite(current_score):
         raise DegreesOfFreedomError(
             f"no scoreable knot subset for n = {ts.size} and {candidate_count} candidates"
         )
-    return _selection(ts, ys, space.basis, best_subset, trials=space.trials, sweeps=sweeps)
+    return _selection(ts, ys, space.basis, current.idx, trials=space.trials, sweeps=sweeps)
 
 
 def _selection(ts, ys, grid_basis, idx, trials, sweeps=0) -> SelectionResult:

@@ -16,11 +16,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import BlowupError, GradMatchError
+from .splines import read_only
 
 _BLOWUP_NORM = 1e8  # a solved state larger than this in magnitude has escaped
-
-# parameter layout of the generalized Lotka-Volterra field
-GLV_PARAM_NAMES = ("a1", "a2", "a3", "b1", "b2", "b3")
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ def glv_field(fixed_mask=None, fixed_values=None) -> VectorFieldModel:
         field=field,
         jacobian_state=jacobian_state,
         jacobian_param=jacobian_param,
-        param_names=GLV_PARAM_NAMES,
+        param_names=("a1", "a2", "a3", "b1", "b2", "b3"),
         fixed_mask=fixed_mask,
         fixed_values=fixed_values,
         linear=True,
@@ -378,10 +376,8 @@ def dense_solve(model, theta, x0, t0: float, t_end: float, tol: float = 1e-8) ->
                 failed_at = t + h
                 h *= max(0.2, 0.9 * ratio**-0.2) if math.isfinite(ratio) else 0.2
                 rejected = True
-    arrays = [np.array(a) for a in (starts, sizes, states, coefficients)]
-    for a in arrays:
-        a.setflags(write=False)  # a cached solution is shared by every caller
-    return DenseSolution(*arrays, t)
+    # a cached solution is shared by every caller
+    return DenseSolution(*read_only(*(np.array(a) for a in (starts, sizes, states, coefficients))), t)
 
 
 def integrate(model, theta, x0, t_grid, tol: float = 1e-8) -> Trajectory:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -25,9 +26,8 @@ from .knots import KnotPolicy, select_knots
 from .models import dense_solve, get_model_spec
 from .splines import FINE_POINTS, grid_table, read_only
 
-# substream purpose codes
+# substream purpose code of the observation noise
 NOISE_PURPOSE = 1
-KS_PURPOSE = 2
 
 _KS_SEED = 0x4C494C  # fixed internal seed for the normality-test null table
 _KS_RESAMPLES = 2000  # same-size null samples behind each critical value
@@ -314,6 +314,7 @@ class SummaryTable:
         raise KeyError(f"no summary for weight {name!r}")
 
 
+# a module-level task, not run_replication itself: a wrapped run_replication (say a tracing closure) cannot be pickled
 def _replication_task(args):
     config, idx = args
     return run_replication(config, idx)
@@ -324,21 +325,21 @@ def run_experiment(config: ExperimentConfig, n_jobs: int = 1, pool=None) -> Summ
 
     With ``pool``, an executor the caller owns (say one ProcessPoolExecutor
     for a whole sweep over n), the replications run on it and n_jobs sizes
-    the chunks; without it, n_jobs > 1 makes a pool for this call.
-    Results are reduced in replication order, so the summary is identical for
-    any n_jobs or pool.  If more than 20% of replications fail, the
-    experiment raises ExperimentError listing the recorded reasons.
+    the chunks; without it, n_jobs > 1 makes a pool for this call.  Either
+    way n_jobs counts at most os.cpu_count() workers.  Results come back in
+    replication order, so the summary is identical for any n_jobs or pool.
+    If more than 20% fail, ExperimentError lists the recorded reasons.
     """
     indices = range(config.replications)
     if pool is not None or n_jobs > 1:
         # solve the truth here, so forked workers inherit it instead of solving again
         _truth_grids(config)
-        chunk = max(1, config.replications // (8 * n_jobs))
-        with ProcessPoolExecutor(max_workers=n_jobs) if pool is None else nullcontext(pool) as executor:
+        workers = min(n_jobs, os.cpu_count() or 1)
+        chunk = max(1, config.replications // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) if pool is None else nullcontext(pool) as executor:
             results = list(executor.map(_replication_task, [(config, i) for i in indices], chunksize=chunk))
     else:
         results = [run_replication(config, i) for i in indices]
-    results.sort(key=lambda r: r.rep_index)
 
     good = [r for r in results if r.ok]
     failed = [r for r in results if not r.ok]
@@ -347,8 +348,6 @@ def run_experiment(config: ExperimentConfig, n_jobs: int = 1, pool=None) -> Summ
         raise ExperimentError(
             f"{len(failed)} of {config.replications} replications failed: {reasons}"
         )
-    if not good:
-        raise ExperimentError("all replications failed")
 
     model = config.build_model()
     theta_star = np.asarray(config.theta_star)

@@ -66,16 +66,6 @@ class KnotSequence:
         return np.concatenate(([lo], self.interior_knots, [hi]))
 
 
-def augment_knots(knots: KnotSequence) -> np.ndarray:
-    """Augmented knot vector: each endpoint repeated ``order`` times.
-
-    Length is ``num_interior + 2 * order``.
-    """
-    lo, hi = knots.interval
-    k = knots.order
-    return np.concatenate((np.full(k, lo), knots.interior_knots, np.full(k, hi)))
-
-
 @dataclass(frozen=True)
 class BSplineBasis:
     """B-spline basis of dimension ``num_interior + order`` on a knot sequence."""
@@ -92,7 +82,10 @@ class BSplineBasis:
 
     @property
     def augmented(self) -> np.ndarray:
-        return augment_knots(self.knots)
+        """Augmented knot vector: each endpoint repeated ``order`` times, length ``num_interior + 2 * order``."""
+        lo, hi = self.knots.interval
+        k = self.knots.order
+        return np.concatenate((np.full(k, lo), self.knots.interior_knots, np.full(k, hi)))
 
 
 def _check_domain(interval: tuple[float, float], ts: np.ndarray) -> None:
@@ -188,10 +181,6 @@ class SplineFit:
     times: np.ndarray
     rank_deficient: bool = False
     grid: tuple | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.coefficients.shape[0]
 
     @property
     def grid_path(self) -> tuple[KnotSequence, np.ndarray]:

@@ -1,4 +1,5 @@
-"""Shared pytest plumbing: the acceptance-criterion scoreboard, the truncated power basis and GLV's stacked D2F.
+"""Shared pytest plumbing: the acceptance-criterion scoreboard, the truncated power basis, GLV's stacked D2F
+and an in-process stand-in for the worker pools.
 
 Acceptance tests (tests/test_acceptance.py) each cover one numbered criterion
 and record a PASS/FAIL verdict here; at the end of the run one line per
@@ -36,6 +37,39 @@ def glv_param_jacobian_stacked(state):
     row0 = np.stack([x * x, x * y, x, z, z, z], axis=-1)
     row1 = np.stack([z, z, z, x * y, y * y, y], axis=-1)
     return np.stack([row0, row1], axis=-2)
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """ProcessPoolExecutor, in the CLI and the harness, replaced by a pool that runs map in this process.
+
+    The stand-in neither subclasses nor constructs ProcessPoolExecutor, so it
+    starts no process whatever max_workers it is given.  The returned dict
+    lists each pool's max_workers ("workers") and each map's chunksize
+    ("chunks").
+    """
+    import gradmatch.cli as cli
+    import gradmatch.montecarlo as montecarlo
+
+    record = {"workers": [], "chunks": []}
+
+    class InlinePool:
+        def __init__(self, max_workers=None):
+            record["workers"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            record["chunks"].append(chunksize)
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    return record
 
 _RESULTS = {}
 _COLLECTED = set()

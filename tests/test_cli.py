@@ -419,8 +419,30 @@ class TestMonteCarlo:
         finally:
             mc._truth_solution.cache_clear()
             mc._truth_grids.cache_clear()
-        assert pools == [2]
+        assert pools == [min(2, os.cpu_count() or 1)]
         assert log.read_text().split() == [str(os.getpid())]
+
+    def test_jobs_start_at_most_one_worker_per_cpu(self, tmp_path, inline_pools, monkeypatch):
+        config = write_mc_config(tmp_path / "config.json", n_list=[20, 50], replications=48, raw_dump=True)
+        assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "one"), "--jobs", "1"]) == 0
+        assert inline_pools == {"workers": [], "chunks": []}
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "many"), "--jobs", "100000"]) == 0
+        # one pool of 3 workers; each n chunks its 48 replications for 3 workers: 48 // 24
+        assert inline_pools == {"workers": [3], "chunks": [2, 2]}
+        assert multiprocessing.active_children() == []
+        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "many").iterdir())
+        for name in names:
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes(), name
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        ints = write_mc_config(tmp_path / "ints.json")
+        floats = write_mc_config(tmp_path / "floats.json", n_list=[50.0], replications=3.0, seed=11.0)
+        for config in (ints, floats):
+            assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / config.stem)]) == 0
+        for name in ("t_summary.csv", "t_summary.txt"):
+            assert (tmp_path / "ints" / name).read_bytes() == (tmp_path / "floats" / name).read_bytes(), name
 
     def test_invalid_later_n_runs_nothing(self, tmp_path, capsys):
         config = write_mc_config(tmp_path / "config.json", n_list=[50, 5], raw_dump=True)

@@ -142,6 +142,11 @@ class TestGLVField:
         np.testing.assert_array_equal(model.free_indices, [1, 2, 3, 5])
         assert model.n_free == 4
 
+    @pytest.mark.parametrize("field", ["fixed_mask", "fixed_values"])
+    def test_rejects_fixed_arrays_of_the_wrong_length(self, field):
+        with pytest.raises(ValueError, match=f"{field} must have shape \\(6,\\)"):
+            glv_field(**{field: np.zeros(5)})
+
     def test_registry(self):
         spec = get_model_spec("glv")
         model = spec.build({"a1": 0.0, "b2": 1.0})
@@ -487,6 +492,12 @@ class TestDuhamel:
         batched = duhamel_solve(a, lambda t: np.cos(t)[..., None], [1.0], ts)
         np.testing.assert_allclose(pointwise, batched, rtol=1e-14, atol=1e-15)
 
+    def test_rejects_bad_input(self):
+        with pytest.raises(GradMatchError, match="Duhamel solve needs a finite matrix"):
+            duhamel_solve(np.array([[np.nan]]), lambda t: np.zeros(1), [1.0], np.linspace(0.0, 1.0, 3))
+        with pytest.raises(GradMatchError, match="Duhamel grid is empty"):
+            duhamel_solve(np.array([[-0.5]]), lambda t: np.zeros(1), [1.0], np.array([]))
+
     def test_forcing_error_on_a_batch_propagates(self):
         def forcing(t):
             if np.ndim(t):
@@ -519,6 +530,22 @@ class TestTrajectoryIO:
             Trajectory(times=np.array([0.0, 1.0]), states=np.array([[1.0], [np.nan]]))
         with pytest.raises(GradMatchError, match="trajectory needs at least one time point"):
             Trajectory(times=np.array([]), states=np.zeros((0, 1)))
+        with pytest.raises(ValueError, match="times and states disagree in length"):
+            Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, 1)))
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("x,y1\n0,1\n", ValueError, "expected header starting with 't'"),
+            ("", ValueError, "expected header starting with 't'"),
+            ("t,y1\n", GradMatchError, "no data rows"),
+        ],
+    )
+    def test_rejects_a_bad_header_or_no_rows(self, tmp_path, text, error, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(error, match=message):
+            read_trajectory_csv(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_trajectory_times_must_be_finite(self, bad):

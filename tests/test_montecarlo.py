@@ -157,6 +157,8 @@ class TestExperimentConfig:
             case1_config(replications=0)
         with pytest.raises(ValueError):
             case1_config(weights=("boundary", "nope"))
+        with pytest.raises(ValueError, match="need at least one weight variant"):
+            case1_config(weights=())
         with pytest.raises(ValueError):
             case1_config(theta_star=(1.0, 2.0))
         with pytest.raises(ValueError):
@@ -519,10 +521,22 @@ class TestRunExperiment:
             np.testing.assert_array_equal(serial.weight_summary(name).thetas, pooled.weight_summary(name).thetas)
         np.testing.assert_array_equal(serial.curve_rmse_mean, pooled.curve_rmse_mean)
 
+    @pytest.mark.parametrize("cpus, workers, chunk", [(None, 1, 2), (1, 1, 2), (3, 3, 1)])
+    def test_own_pool_holds_at_most_one_worker_per_cpu(self, inline_pools, monkeypatch, cpus, workers, chunk):
+        # 16 replications chunk as 16 // (8 * workers), with the capped worker count, not n_jobs
+        config = case1_config(n=50, replications=16)
+        serial = run_experiment(config, n_jobs=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pooled = run_experiment(config, n_jobs=100_000)
+        assert inline_pools == {"workers": [workers], "chunks": [chunk]}
+        for name in config.weights:
+            np.testing.assert_array_equal(serial.weight_summary(name).thetas, pooled.weight_summary(name).thetas)
+
     def test_single_replication_has_no_spread(self):
         config = case1_config(n=50, replications=1)
         table = run_experiment(config)
         single = run_replication(config, 0)
+        assert "(single replication)" in summary_text([table])
         for name in config.weights:
             ws = table.weight_summary(name)
             assert ws.std is None
@@ -726,6 +740,20 @@ class TestWriters:
         assert "Normality checks" in text
         assert "(needs >= 50 replications)" in text
         assert "boundary" in text and "uniform" in text
+        assert summary_text([]) == "(no experiments)\n"
+
+    def test_summary_text_ks_cells(self, tiny_table):
+        ok = mc.KSResult(statistic=0.0612, critical_value=0.12, reject=False, sample_size=60)
+        bad = mc.KSResult(statistic=0.25, critical_value=0.12, reject=True, sample_size=60)
+        weights = tuple(dataclasses.replace(ws, ks=(("a2", ok), ("b3", bad))) for ws in tiny_table.weights)
+        text = summary_text([dataclasses.replace(tiny_table, weights=weights)])
+        cells = [line for line in text.splitlines() if line.endswith("b3: reject (D=0.2500)")]
+        assert [line.split()[:2] for line in cells] == [["50", "boundary"], ["50", "uniform"]]
+        assert all("a2: ok (D=0.0612), " in line for line in cells)
+
+    def test_weight_summary_of_an_unknown_weight_raises(self, tiny_table):
+        with pytest.raises(KeyError, match="no summary for weight 'nope'"):
+            tiny_table.weight_summary("nope")
 
     def test_raw_csv_rows(self, tiny_table, tmp_path):
         path = tmp_path / "raw.csv"

@@ -17,7 +17,6 @@ from gradmatch import (
     GradMatchError,
     KnotSequence,
     SplineFit,
-    augment_knots,
     design_matrix,
     eval_basis,
     eval_basis_derivative,
@@ -103,7 +102,7 @@ def random_basis_and_points(rng):
 
 
 def naive_row(knots: KnotSequence, t):
-    tau = augment_knots(knots)
+    tau = BSplineBasis(knots).augmented
     dim = knots.num_interior + knots.order
     return np.array([naive_bspline(tau, i, knots.order, t, knots.interval[1]) for i in range(dim)])
 
@@ -121,7 +120,7 @@ CASES = [
 class TestKnotSequence:
     def test_augmented_length_and_content(self):
         ks = KnotSequence((0.0, 2.0), (0.5, 1.0), 4)
-        tau = augment_knots(ks)
+        tau = BSplineBasis(ks).augmented
         assert len(tau) == 2 + 2 * 4
         np.testing.assert_array_equal(tau[:4], 0.0)
         np.testing.assert_array_equal(tau[-4:], 2.0)
@@ -171,7 +170,7 @@ class TestBasisEvaluation:
     @pytest.mark.parametrize("ks", CASES)
     def test_nonnegative_and_local_support(self, ks):
         basis = BSplineBasis(ks)
-        tau = augment_knots(ks)
+        tau = BSplineBasis(ks).augmented
         lo, hi = ks.interval
         pts = np.linspace(lo, hi, 101)
         vals = eval_basis(basis, pts)
@@ -347,6 +346,8 @@ class TestRegression:
             fit_least_squares(basis, [], [])
         with pytest.raises(ValueError):
             fit_least_squares(basis, [0.1, 0.2], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="observation times must be nondecreasing"):
+            fit_least_squares(basis, [0.1, 0.3, 0.2], [1.0, 2.0, 3.0])
         with pytest.raises(GradMatchError, match="design matrix needs at least one observation time"):
             design_matrix(basis, [])
 
