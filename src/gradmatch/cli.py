@@ -165,7 +165,7 @@ def cmd_fit(args) -> int:
     try:
         model = spec.build(fixed)
     except KeyError as err:
-        raise ConfigError(err)
+        raise ConfigError(err.args[0])
     try:
         policy = KnotPolicy() if args.knots == "auto" else KnotPolicy(int(args.knots), selection="fixed-uniform")
     except ValueError:

@@ -248,7 +248,7 @@ def _assemble_theta(model: VectorFieldModel, theta_free: np.ndarray) -> np.ndarr
     return theta
 
 
-def _estimate(sample, model, theta, jac, w, converged, iterations) -> TwoStepEstimate:
+def _estimate(sample, model, theta, jac, w, converged, iterations, stacklevel) -> TwoStepEstimate:
     """Criterion value, its components and the diagnostics at theta, from one sample of the fit.
 
     ``jac`` is the free D2F and ``w`` the weight on the sample at theta.  The
@@ -257,7 +257,7 @@ def _estimate(sample, model, theta, jac, w, converged, iterations) -> TwoStepEst
     """
     if not np.all(np.isfinite(sample.x)):
         raise np.linalg.LinAlgError("fitted path is not finite on the quadrature grid")
-    jstar, cond = _hessian(sample, jac, w)
+    jstar, cond = _hessian(sample, jac, w, stacklevel + 1)
     gamma_s = _smooth_integral(sample, model, theta, jac, w, sample.x)
     gamma_b = w[-1] * jac[-1].T @ sample.x[-1] - w[0] * jac[0].T @ sample.x[0]
     value, components = _criterion_parts(sample, model, theta, w)
@@ -337,7 +337,7 @@ def fit_linear_in_theta(fit: SplineFit, model: VectorFieldModel, config: Criteri
     stacked system, which also supplies the rank check.  A rank-deficient
     stack raises IdentifiabilityError naming the unidentified directions.
     """
-    return estimate_weights(fit, model, {None: config})[None]
+    return _estimate_weights(fit, model, {None: config}, stacklevel=3)[None]
 
 
 def fit_nonlinear(fit: SplineFit, model: VectorFieldModel, theta_init, config: CriterionConfig) -> TwoStepEstimate:
@@ -367,7 +367,7 @@ def fit_nonlinear(fit: SplineFit, model: VectorFieldModel, theta_init, config: C
     z, _, converged, iterations = _damped_gauss_newton(residual, jacobian, z0) or (z0, np.inf, False, 0)
     theta = _assemble_theta(model, z)
     jac = _free_jacobian(model, sample.nodes, sample.x, theta)
-    return _estimate(sample, model, theta, jac, w, converged, iterations)
+    return _estimate(sample, model, theta, jac, w, converged, iterations, stacklevel=3)
 
 
 def estimate_weights(fit: SplineFit, model: VectorFieldModel, criteria: dict) -> dict:
@@ -376,6 +376,11 @@ def estimate_weights(fit: SplineFit, model: VectorFieldModel, criteria: dict) ->
     One split F = D2F theta_free + F(theta_free = 0) serves every weight.  ValueError for no
     criteria, or for a model not declared linear (fit_nonlinear takes those, from a start).
     """
+    return _estimate_weights(fit, model, criteria, stacklevel=3)
+
+
+def _estimate_weights(fit, model, criteria, stacklevel) -> dict:
+    """estimate_weights, a singular J* warning at ``stacklevel`` as seen from here (each caller's own depth)."""
     if not criteria:
         raise ValueError("need at least one criterion")
     if not model.linear:
@@ -388,7 +393,7 @@ def estimate_weights(fit: SplineFit, model: VectorFieldModel, criteria: dict) ->
     for name, crit in criteria.items():
         w = crit.weight(sample.nodes)
         theta = _assemble_theta(model, _solve_linear(sample, model, w, jac, offset))
-        estimates[name] = _estimate(sample, model, theta, jac, w, converged=True, iterations=0)
+        estimates[name] = _estimate(sample, model, theta, jac, w, True, 0, stacklevel=stacklevel + 1)
     return estimates
 
 
@@ -403,8 +408,8 @@ def _diagnostic_sample(path, model: VectorFieldModel, theta, weight: WeightFunct
     return sample, theta, _free_jacobian(model, ts, x, theta), weight(ts)
 
 
-def _hessian(sample: _PathSample, jac: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """J* and its condition from free D2F and w on the sample's nodes (see criterion_hessian)."""
+def _hessian(sample: _PathSample, jac: np.ndarray, w: np.ndarray, stacklevel: int) -> tuple[np.ndarray, float]:
+    """J* and its condition (see criterion_hessian); if singular, a warning at warnings.warn's ``stacklevel``."""
     jstar = np.einsum("j,jdi,jdk->ik", sample.delta * w, jac, jac)
     jstar = 0.5 * (jstar + jstar.T)
     sv = np.linalg.svd(jstar, compute_uv=False)
@@ -413,24 +418,23 @@ def _hessian(sample: _PathSample, jac: np.ndarray, w: np.ndarray) -> tuple[np.nd
         warnings.warn(
             f"criterion Hessian is numerically singular (condition {cond:.3g})",
             IdentifiabilityWarning,
-            stacklevel=3,  # the caller of criterion_hessian
+            stacklevel=stacklevel,
         )
     return jstar, cond
 
 
 def _smooth_integral(sample: _PathSample, model: VectorFieldModel, theta, jac, w, target) -> np.ndarray:
-    """A(t) along the sample's path (see smooth_functional), integrated against target on the nodes."""
-    ts = sample.nodes
-    d2f_t = np.swapaxes(jac, 1, 2)  # (m, p_free, d)
-    d1f = np.asarray(model.jacobian_state(ts, sample.x, theta), dtype=float)  # (m, d, d)
-    prod = w[:, None, None] * d2f_t  # G(t) = w * D2F'
-    dprod = _neighbour_spans(prod) / _neighbour_spans(ts)[:, None, None]
-    # D2F' D1F as a sum over the d state columns: faster than einsum and equal to it bit for bit
-    d2f_d1f = 0.0
-    for k in range(d1f.shape[1]):
-        d2f_d1f = d2f_d1f + d2f_t[:, :, k, None] * d1f[:, None, k, :]
-    kernel = -w[:, None, None] * d2f_d1f - dprod
-    return np.einsum("j,jpd,jd->p", sample.delta, kernel, target)
+    """A(t) along the sample's path (see smooth_functional), integrated against target y on the nodes.
+
+    With P = w D2F', the trapezoid sum of the central differences of P (one-sided
+    at the ends) times y is, summed by parts, the sum of P_j z_j with z_j = (y_{j-1} - y_{j+1}) / 2,
+    y_{-1} = -y_0 and y_m = -y_{m-1}.  So the integral is
+    -sum_j w_j D2F_j' (delta_j D1F_j y_j + z_j), one contraction.
+    """
+    d1f = np.asarray(model.jacobian_state(sample.nodes, sample.x, theta), dtype=float)  # (m, d, d)
+    padded = np.concatenate([-target[:1], target, -target[-1:]])
+    inner = sample.delta[:, None] * np.einsum("jdk,jk->jd", d1f, target) + 0.5 * (padded[:-2] - padded[2:])
+    return -np.einsum("jdp,jd->p", jac, w[:, None] * inner)
 
 
 def criterion_hessian(path, model: VectorFieldModel, theta, weight: WeightFunction, nodes) -> tuple[np.ndarray, float]:
@@ -442,7 +446,7 @@ def criterion_hessian(path, model: VectorFieldModel, theta, weight: WeightFuncti
     must be a 1-D strictly increasing array of at least 2 points (ValueError).
     """
     sample, _, jac, w = _diagnostic_sample(path, model, theta, weight, nodes)
-    return _hessian(sample, jac, w)
+    return _hessian(sample, jac, w, stacklevel=3)
 
 
 def smooth_functional(path, model: VectorFieldModel, theta, weight: WeightFunction, nodes, apply_to=None) -> np.ndarray:
@@ -456,9 +460,11 @@ def smooth_functional(path, model: VectorFieldModel, theta, weight: WeightFuncti
     evaluated along ``path`` at ``theta``; the time derivative is taken by
     central differences on the quadrature grid (one-sided at the ends).  The
     functional applies A to ``apply_to`` (default: the reference path itself)
-    and integrates by trapezoid.  Together with the boundary term it gives the
-    leading term of the estimator error: theta error ~ J*^{-1} applied to the
-    difference of the functionals at the fitted and true paths.  ``nodes`` is
+    and integrates by trapezoid; that sum is evaluated by summation by parts,
+    which moves the differences onto ``apply_to`` and needs no kernel.
+    Together with the boundary term it gives the leading term of the
+    estimator error: theta error ~ J*^{-1} applied to the difference of the
+    functionals at the fitted and true paths.  ``nodes`` is
     checked as in criterion_hessian.
     """
     sample, theta, jac, w = _diagnostic_sample(path, model, theta, weight, nodes)

@@ -8,27 +8,27 @@ knots; their residual sums pool into one score.
 
 Every subset S of the candidate grid spans a subspace of the full grid's
 spline space: B_S = B_grid T_S.  T_S comes from sampling S's B-splines at the
-grid's Greville sites, where B_grid is square and well conditioned.  The walk
-therefore reduces [B_grid | Y] to its R factor once per search and scores
-every trial on that factor, at a cost that does not depend on the sample
-size.  Dropping knot xi from S constrains the jump of the
-(order - 1)-th derivative at xi to zero; adding xi to S adds the direction of
-the truncated power (t - xi)_+^(order - 1).  The walk carries one orthonormal
-basis q = R_B C of span(R_B T_S), with C the grid coefficients of its
-functions.  It is factored from T_S once per search and then updated per
-accepted move: a drop by one Householder reflection, an add by one
-Gram-Schmidt column.  Each sweep is scored in one batch from q and C.
-`gcv_score` stays the definition and the oracle: it scores any sweep whose
-subset is rank-deficient, and a move from such a subset factors its
-successor afresh.  The chosen subset is solved once on the n rows; that one
-solve gives the fit, read in the grid's basis by T_S, and its gcv_value.  The
-grid-only tables (jumps, Greville sites, collocation inverse, truncated
-powers, and T_grid, the full grid's refinement every search starts from)
-are built once per grid and shared, read-only, by its searches.  So is
-B_grid on the observation times, once per grid and times: every replication
-of a study shares both, and the n x K design is the largest table (about
-136 KB at n = 500, K = 34).  Both caches are bounded and fill on first use,
-never at import.
+grid's Greville sites, where B_grid is square and well conditioned.  With
+Q_B R_B the thin QR of B_grid, a subset's RSS is that of R_Y = Q_B' Y on
+R_B T_S plus the part of Y outside the grid's span, so every trial is scored
+at a cost that does not depend on the sample size.  Dropping knot xi from S
+constrains the jump of the (order - 1)-th derivative at xi to zero; adding
+xi to S adds the direction of the truncated power (t - xi)_+^(order - 1).
+The walk carries one orthonormal basis q = R_B C of span(R_B T_S), with C
+the grid coefficients of its functions.  It starts from the full grid's
+factor and is then updated per accepted move: a drop by one Householder
+reflection, an add by one Gram-Schmidt column.  Each sweep is scored in one
+batch from q and C.  `gcv_score` stays the definition and the oracle: it
+scores any sweep whose subset is rank-deficient, and a move from such a
+subset factors its successor afresh.  The chosen subset is solved once on
+the n rows; that one solve gives the fit, read in the grid's basis by T_S,
+and its gcv_value.  The grid-only tables (jumps, Greville sites, collocation
+inverse, truncated powers) are built once per grid and shared, read-only, by
+its searches.  So are Q_B, R_B, R_B times the truncated powers and the full
+grid's start factor, once per grid and times: every replication of a study
+shares them, so a search computes only R_Y and what its moves need.  Q_B is
+the largest table (about 136 KB at n = 500, K = 34).  Both caches are bounded
+and fill on first use, never at import.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ class _Subset:
 
 @lru_cache(maxsize=16)
 def _grid_tables(basis: BSplineBasis) -> tuple[np.ndarray, ...]:
-    """The read-only tables of a candidate grid's basis: jumps, sites, collocate, powers, T_grid (see _NestedSpace)."""
+    """The read-only tables of a candidate grid's basis: jumps, sites, collocate, powers (see _NestedSpace)."""
     order = basis.knots.order
     # the (order-1)-th derivative is constant on each span; row j is its jump at grid[j]
     bps = basis.knots.breakpoints
@@ -180,21 +180,37 @@ def _grid_tables(basis: BSplineBasis) -> tuple[np.ndarray, ...]:
     # column j: grid coefficients of the truncated power (t - grid[j])_+^(order - 1)
     grid = np.asarray(basis.knots.interior_knots)
     powers = collocate @ np.clip(sites[:, None] - grid[None, :], 0.0, None) ** (order - 1)
-    # T_S of the full grid, where every search starts
-    refine = collocate @ eval_basis(basis, sites)
-    return splines.read_only(jumps, sites, collocate, powers, refine)
-
-
-@lru_cache(maxsize=8)
-def _grid_design(basis: BSplineBasis, times: bytes) -> np.ndarray:
-    """The design of the basis on the float64 times of these bytes, read-only, shared by every search on both."""
-    return splines.read_only(design_matrix(basis, np.frombuffer(times)))[0]
+    return splines.read_only(jumps, sites, collocate, powers)
 
 
 def _refinement(grid_basis: BSplineBasis, basis: BSplineBasis) -> np.ndarray:
     """T_S, with B_S = B_grid T_S: the grid coefficients of each B-spline of the subset basis B_S."""
-    _, sites, collocate, _, _ = _grid_tables(grid_basis)
+    _, sites, collocate, _ = _grid_tables(grid_basis)
     return collocate @ eval_basis(basis, sites)
+
+
+def _factor(rb, refine):
+    """q and C = T_S r^-1 from a thin QR q r of R_B T_S; None if it is rank-deficient at SV_CUTOFF.
+
+    B_S = Q_B R_B T_S with Q_B orthonormal, so both share singular values.
+    """
+    q, r = np.linalg.qr(rb @ refine)
+    sv = np.linalg.svd(r, compute_uv=False)
+    if sv.size < refine.shape[1] or sv[-1] <= splines.SV_CUTOFF * sv[0]:
+        return None
+    return q, np.linalg.solve(r.T, refine.T).T
+
+
+@lru_cache(maxsize=8)
+def _grid_factor(basis: BSplineBasis, times: bytes) -> tuple:
+    """Q_B, R_B, R_B powers and the full grid's start (q, C) or None, read-only, for the float64 times of these bytes.
+
+    Q_B R_B is the thin QR of the basis' design on the times; every search on both shares them.
+    """
+    qb, rb = np.linalg.qr(design_matrix(basis, np.frombuffer(times)))
+    start = _factor(rb, _refinement(basis, basis))
+    start = None if start is None else splines.read_only(*start)
+    return (*splines.read_only(qb, rb, rb @ _grid_tables(basis)[3]), start)
 
 
 def _orthogonalize(q, g):
@@ -206,7 +222,7 @@ def _orthogonalize(q, g):
 
 
 class _NestedSpace:
-    """GCV of the subsets of one candidate grid, scored on the R factor of [B_grid | Y].
+    """GCV of the subsets of one candidate grid, scored on R_B and R_Y = Q_B' Y (see _grid_factor).
 
     Counts every subset it scores in `trials`.
     """
@@ -216,36 +232,28 @@ class _NestedSpace:
         self.n = ts.size
         self.trials = 0
         self.basis = BSplineBasis(KnotSequence(interval, tuple(grid), order))
-        design = _grid_design(self.basis, ts.tobytes())
-        dim = design.shape[1]
-        r = np.linalg.qr(np.hstack((design, ys)), mode="r")
-        self.rb, self.ry = r[:, :dim], r[:, dim:]
-        self.jumps, self.sites, self.collocate, self.powers, self.full = _grid_tables(self.basis)
-        self.directions = self.rb @ self.powers
+        qb, self.rb, self.directions, self.start = _grid_factor(self.basis, ts.tobytes())
+        self.ry = qb.T @ ys
+        # the part of Y outside the grid's span, in every subset's RSS
+        self.rss0 = np.sum((ys - qb @ self.ry) ** 2, axis=0)
+        self.jumps, self.sites, self.collocate, self.powers = _grid_tables(self.basis)
 
     def refinement(self, idx) -> np.ndarray:
-        """T_S of the subset idx (see _refinement); the full grid's is tabulated."""
-        if len(idx) == len(self.grid):
-            return self.full
+        """T_S of the subset idx (see _refinement)."""
         return _refinement(self.basis, BSplineBasis(KnotSequence(self.interval, tuple(self.grid[idx]), self.order)))
 
     def _fit(self, q, coef) -> _Basis:
         qty = q.T @ self.ry
         resid = self.ry - q @ qty
-        return _Basis(q, coef, qty, resid, np.sum(resid**2, axis=0))
+        return _Basis(q, coef, qty, resid, np.sum(resid**2, axis=0) + self.rss0)
 
     def factor(self, idx: list) -> _Subset:
-        """S = idx with its basis from a thin QR q r of R_B T_S, and C = T_S r^-1.
+        """S = idx with its basis from _factor on R_B T_S; fit is None if that is rank-deficient.
 
-        fit is None if R_B T_S is rank-deficient at SV_CUTOFF.  B_S = Q R_B T_S
-        with Q orthonormal, so both share singular values.
+        The full grid's start is cached with R_B, so it is not refactored.
         """
-        refine = self.refinement(idx)
-        q, r = np.linalg.qr(self.rb @ refine)
-        sv = np.linalg.svd(r, compute_uv=False)
-        if sv.size < refine.shape[1] or sv[-1] <= splines.SV_CUTOFF * sv[0]:
-            return _Subset(idx, None)
-        return _Subset(idx, self._fit(q, np.linalg.solve(r.T, refine.T).T))
+        start = self.start if len(idx) == len(self.grid) else _factor(self.rb, self.refinement(idx))
+        return _Subset(idx, None if start is None else self._fit(*start))
 
     def drop(self, subset: _Subset, pos: int) -> _Subset:
         """S without its pos-th knot xi: the null space of the jump row J_xi C.

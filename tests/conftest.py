@@ -1,5 +1,5 @@
-"""Shared pytest plumbing: the acceptance-criterion scoreboard, the truncated power basis, GLV's stacked D2F
-and an in-process stand-in for the worker pools.
+"""Shared pytest plumbing: the acceptance-criterion scoreboard, the truncated power basis, GLV's stacked D2F,
+the central-difference smooth functional and an in-process stand-in for the worker pools.
 
 Acceptance tests (tests/test_acceptance.py) each cover one numbered criterion
 and record a PASS/FAIL verdict here; at the end of the run one line per
@@ -37,6 +37,26 @@ def glv_param_jacobian_stacked(state):
     row0 = np.stack([x * x, x * y, x, z, z, z], axis=-1)
     row1 = np.stack([z, z, z, x * y, y * y, y], axis=-1)
     return np.stack([row0, row1], axis=-2)
+
+
+def central_difference_smooth_integral(nodes, d1f, d2f, w, target):
+    """The smooth functional's trapezoid sum with d/dt[w D2F'] by central differences, one-sided at the ends.
+
+    d1f is (m, d, d) and d2f the free D2F, (m, d, p), both along the path on
+    the nodes; the kernel A = -w D2F' D1F - d/dt[w D2F'] is formed per node and
+    integrated against target by trapezoid: the oracle for the summation by
+    parts the estimator uses.
+    """
+
+    def spans(a):
+        padded = np.concatenate([a[:1], a, a[-1:]])
+        return padded[2:] - padded[:-2]
+
+    d2f_t = np.swapaxes(d2f, 1, 2)
+    prod = w[:, None, None] * d2f_t
+    dprod = spans(prod) / spans(nodes)[:, None, None]
+    kernel = -w[:, None, None] * np.einsum("jpd,jdk->jpk", d2f_t, d1f) - dprod
+    return np.einsum("j,jpd,jd->p", 0.5 * spans(nodes), kernel, target)
 
 
 @pytest.fixture

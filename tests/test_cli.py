@@ -289,6 +289,12 @@ class TestFit:
             == 2
         )
 
+    def test_unknown_fixed_name_prints_the_models_message_unquoted(self, case1_n500, capsys):
+        assert main(["fit", "--data", str(case1_n500), "--model", "glv", "--theta-fixed", "nope=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown parameter 'nope' for model 'glv'\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "rows, message",
         [

@@ -40,7 +40,7 @@ from gradmatch import (
 from gradmatch import estimator
 from gradmatch.errors import BlowupError
 
-from conftest import glv_param_jacobian_stacked
+from conftest import central_difference_smooth_integral, glv_param_jacobian_stacked
 
 THETA_CASE1 = np.array([0.0, -1.5, 1.0, 2.0, 0.0, -1.5])
 CASE1_MASK = np.array([True, False, False, False, True, False])
@@ -119,6 +119,22 @@ def duplicated_param_model():
         param_names=("k1", "k2"),
         linear=True,
     )
+
+
+def near_duplicate_param_model(eps=1e-6):
+    """duplicated_param_model with the second column moved by eps sin(t): identifiable, J* nearly singular."""
+    base = duplicated_param_model()
+
+    def field(t, state, theta):
+        theta = np.asarray(theta, dtype=float)
+        return base.field(t, state, theta) + theta[1] * eps * np.sin(t)[..., None]
+
+    def jacobian_param(t, state, theta):
+        jac = base.jacobian_param(t, state, theta)
+        jac[..., 1] += eps * np.sin(t)[..., None]
+        return jac
+
+    return dataclasses.replace(base, field=field, jacobian_param=jacobian_param)
 
 
 def case1_model():
@@ -687,6 +703,22 @@ class TestCriterionHessian:
         assert cond > 1e10
         assert [w.filename for w in record] == [__file__]
 
+    @pytest.mark.parametrize("entry", ["estimate_weights", "fit_linear_in_theta", "fit_nonlinear"])
+    def test_estimates_warn_at_their_callers_line(self, entry):
+        # the closed form still solves (singular values 1e-6 apart), but J*'s condition is above 1e10
+        fit = line_fit([0.3], [1.0])
+        model = near_duplicate_param_model()
+        config = CriterionConfig(WeightFunction.uniform((0.0, 4.0)))
+        calls = {
+            "estimate_weights": lambda: estimate_weights(fit, model, {"w": config})["w"],
+            "fit_linear_in_theta": lambda: fit_linear_in_theta(fit, model, config),
+            "fit_nonlinear": lambda: fit_nonlinear(fit, model, np.zeros(2), config),
+        }
+        with pytest.warns(IdentifiabilityWarning) as record:
+            est = calls[entry]()
+        assert est.jstar_condition > 1e10
+        assert [w.filename for w in record] == [__file__]
+
 
 class TestSmoothFunctional:
     def test_zero_path_maps_to_zero(self):
@@ -723,6 +755,48 @@ class TestSmoothFunctional:
         fb = smooth_functional(truth, model, THETA_CASE1, weight, nodes, apply_to=xb)
         fc = smooth_functional(truth, model, THETA_CASE1, weight, nodes, apply_to=combo)
         np.testing.assert_allclose(fc, 2.5 * fa - 1.25 * fb, atol=1e-10)
+
+
+class TestSmoothFunctionalOracle:
+    """gamma_s summed by parts against the central-difference kernel it replaces (conftest)."""
+
+    @pytest.mark.parametrize("n", [20, 100, 500, 1000])
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_equals_the_central_difference_kernel(self, design, n):
+        other = lambda ts: np.column_stack([np.sin(ts), np.exp(-ts / 10.0)])
+        for rep, fit, config, criteria in TestEstimateWeights.study_fits(design, n):
+            model = config.build_model()
+            sample = estimator._sample_path(fit)
+            for name, est in estimate_weights(fit, model, criteria).items():
+                weight = criteria[name].weight
+                theta = est.theta_hat
+                args = (
+                    sample.nodes,
+                    model.jacobian_state(sample.nodes, sample.x, theta),
+                    estimator._free_jacobian(model, sample.nodes, sample.x, theta),
+                    weight(sample.nodes),
+                )
+                for got, target in (
+                    (est.gamma_s, sample.x),
+                    (smooth_functional(fit, model, theta, weight, sample.nodes, apply_to=other), other(sample.nodes)),
+                ):
+                    want = central_difference_smooth_integral(*args, target)
+                    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (rep, name)
+
+    def test_summation_by_parts_on_four_nodes(self):
+        # F = k (x + t): D2F = x + t, D1F = k.  On nodes (0, 1, 3, 4) with y = (1, 2, -1, 4),
+        # k = 2 and w = (0, 1, 2, 0): delta = (0.5, 1.5, 1.5, 0.5), P = w D2F = (0, 3, 4, 0).
+        # -sum delta w D2F D1F y = -(18 - 12) = -6; the central differences give
+        # sum (P_{j+1} - P_{j-1}) y_j / 2 = 1.5 + 4 + 1.5 - 8 = -1, and by parts
+        # z = (-1.5, 1, -1, 1.5) with sum P z = 3 - 4 = -1 as well.  So gamma_s = -6 + 1.
+        model = single_param_model(lambda t, x: x + t[:, None], lambda t, x: np.ones_like(x))
+        nodes = np.array([0.0, 1.0, 3.0, 4.0])
+        weight = WeightFunction(tuple(nodes), (0.0, 1.0, 2.0, 0.0))
+        path = lambda ts: np.interp(ts, nodes, [1.0, 2.0, -1.0, 4.0])[:, None]
+        assert smooth_functional(path, model, np.array([2.0]), weight, nodes) == pytest.approx([-5.0], abs=1e-14)
+        x = path(nodes)
+        args = (nodes, np.full((4, 1, 1), 2.0), (x + nodes[:, None])[..., None], weight(nodes), x)
+        assert central_difference_smooth_integral(*args) == pytest.approx([-5.0], abs=1e-14)
 
 
 class TestBoundaryFunctional:

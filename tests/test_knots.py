@@ -372,18 +372,21 @@ class TestCarriedBasis:
         # no observations beyond 0.88, so the direction of the last candidate, 0.9, vanishes on the data
         times = np.linspace(0.0, 0.88, 70)
         space = knots._NestedSpace(times, np.cos(4 * times)[:, None], (0.0, 1.0), uniform_knots((0.0, 1.0), 9), 4)
-        calls = []
-        refinement = space.refinement
-        space.refinement = lambda idx: calls.append(idx) or refinement(idx)
+        calls = {"factor": [], "refinement": []}
+        for name, real in (("factor", space.factor), ("refinement", space.refinement)):
+            setattr(space, name, lambda idx, name=name, real=real: calls[name].append(idx) or real(idx))
         start = space.factor(list(range(8)))
         assert start.fit is not None
         full = space.add(start, 8)
-        assert full.fit is None and calls[-1] == list(range(9))
+        # the add cannot update, so the full grid is factored: it reads its cached start, rank-deficient here
+        assert full.fit is None and calls["factor"][-1] == list(range(9)) and space.start is None
         # a move away from a rank-deficient subset factors its successor
         dropped = space.drop(full, 3)
-        assert dropped.fit is None and calls[-1] == [0, 1, 2, 4, 5, 6, 7, 8]
-        assert space.add(dropped, 3).fit is None and calls[-1] == list(range(9))
-        assert len(calls) == 4
+        assert dropped.fit is None and calls["factor"][-1] == [0, 1, 2, 4, 5, 6, 7, 8]
+        assert space.add(dropped, 3).fit is None and calls["factor"][-1] == list(range(9))
+        assert len(calls["factor"]) == 4
+        # only the subsets other than the full grid compute their refinement
+        assert calls["refinement"] == [list(range(8)), [0, 1, 2, 4, 5, 6, 7, 8]]
 
 
 class TestGridTables:
@@ -395,7 +398,7 @@ class TestGridTables:
         second = knots._NestedSpace(ts, np.cos(ts)[:, None], interval, grid, order)
         basis = BSplineBasis(KnotSequence(interval, tuple(grid), order))
         fresh = knots._grid_tables.__wrapped__(basis)
-        names = ("jumps", "sites", "collocate", "powers", "full")
+        names = ("jumps", "sites", "collocate", "powers")
         assert len(fresh) == len(names)
         for name, want in zip(names, fresh):
             got = getattr(first, name)
@@ -405,41 +408,57 @@ class TestGridTables:
             with pytest.raises(ValueError):
                 got[0] = 0.0
 
-    def test_the_search_starts_from_the_tabulated_full_grid_refinement(self):
+    def test_the_search_starts_from_the_cached_full_grid_factor(self):
         interval, order = (0.0, 20.0), 4
         grid = uniform_knots(interval, 30)
         ts = np.linspace(0.0, 20.0, 200)
         space = knots._NestedSpace(ts, np.sin(ts)[:, None], interval, grid, order)
-        full = knots._grid_tables(space.basis)[4]
-        assert space.refinement(list(range(30))) is full
-        # T_grid is the refinement of the grid in its own basis, with the bits a subset's would have
-        assert full.tobytes() == knots._refinement(space.basis, space.basis).tobytes()
+        start = knots._grid_factor(space.basis, ts.tobytes())[3]
+        assert space.start is start
+        q, coef = start
+        assert space.factor(list(range(30))).fit.q is q
+        # the factor of T_grid, the refinement of the grid in its own basis, with the bits a subset's would have
+        want = knots._factor(space.rb, space.refinement(list(range(30))))
+        assert q.tobytes() == want[0].tobytes() and coef.tobytes() == want[1].tobytes()
+        np.testing.assert_allclose(space.rb @ coef, q, rtol=0, atol=1e-13)
 
     def test_cached_design_is_read_only_and_equals_design_matrix(self, monkeypatch):
         interval, order = (0.0, 20.0), 4
         grid = uniform_knots(interval, 30)
         basis = BSplineBasis(KnotSequence(interval, tuple(grid), order))
         ts = np.linspace(0.0, 20.0, 200)
-        design = knots._grid_design(basis, ts.tobytes())
+        tables = knots._grid_factor(basis, ts.tobytes())
+        qb, rb, directions, (q, coef) = tables
         want = design_matrix(basis, ts)
-        assert design.shape == want.shape and design.tobytes() == want.tobytes()
-        assert not design.flags.writeable
-        with pytest.raises(ValueError):
-            design[0, 0] = 1.0
-        assert knots._grid_design(basis, ts.copy().tobytes()) is design
-        assert knots._grid_design(basis, ts[:-1].tobytes()) is not design
-        assert knots._grid_design.cache_info().maxsize is not None
+        assert qb.shape == want.shape and rb.shape == (want.shape[1],) * 2
+        np.testing.assert_allclose(qb @ rb, want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(qb.T @ qb, np.eye(rb.shape[0]), rtol=0, atol=1e-14)
+        assert directions.tobytes() == (rb @ knots._grid_tables(basis)[3]).tobytes()
+        for array in (qb, rb, directions, q, coef):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        # built once per grid and times
+        assert knots._grid_factor(basis, ts.copy().tobytes()) is tables
+        assert knots._grid_factor(basis, ts[:-1].tobytes()) is not tables
+        assert knots._grid_factor.cache_info().maxsize is not None
         # a search on the same grid and times builds no design of its own
         calls = []
         monkeypatch.setattr(knots, "design_matrix", lambda *args: calls.append(args))
         knots._NestedSpace(ts, np.sin(ts)[:, None], interval, grid, order)
         assert calls == []
 
+    def test_the_start_is_none_where_the_full_grid_is_rank_deficient(self):
+        # no observations in (0.3, 0.7), as in test_rank_deficient_subsets_fall_back_to_gcv_score
+        ts = np.concatenate((np.linspace(0.0, 0.3, 40), np.linspace(0.7, 1.0, 40)))
+        basis = BSplineBasis(KnotSequence((0.0, 1.0), tuple(uniform_knots((0.0, 1.0), 9)), 4))
+        assert knots._grid_factor(basis, ts.tobytes())[3] is None
+
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
     def test_powers_are_the_truncated_powers_at_the_sites_bit_for_bit(self, order):
         for interval, count in (((0.0, 2.0), 7), ((0.0, 20.0), 30), ((0.0, 19.9), 0)):
             grid = uniform_knots(interval, count)
-            _, sites, collocate, powers, _ = knots._grid_tables(BSplineBasis(KnotSequence(interval, tuple(grid), order)))
+            _, sites, collocate, powers = knots._grid_tables(BSplineBasis(KnotSequence(interval, tuple(grid), order)))
             want = collocate @ truncated_power_design(interval, grid, order, sites)[:, order:]
             assert want.shape == (grid.size + order, grid.size)
             assert np.array_equal(powers, want), (interval, count)
@@ -458,7 +477,7 @@ class TestMatchesReferenceWalk:
     @pytest.mark.parametrize("n", [20, 50, 200, 1000])
     @pytest.mark.parametrize("design", [CYCLE, DAMPED], ids=["cycle", "damped"])
     def test_one_factorization_per_search(self, design, n, monkeypatch):
-        # every accepted move updates the carried basis; none refactors
+        # the search starts from the cached full-grid factor and every accepted move updates it; none refactors
         counts = {"refinement": 0, "factor": 0}
         for name in counts:
             real = getattr(knots._NestedSpace, name)
@@ -470,7 +489,7 @@ class TestMatchesReferenceWalk:
             monkeypatch.setattr(knots._NestedSpace, name, counted)
         for rep, times, ys, interval in study_datasets(design, n, 10):
             elim_add(times, ys, interval, default_knot_count(n))
-            assert counts == {"refinement": rep + 1, "factor": rep + 1}, rep
+            assert counts == {"refinement": 0, "factor": rep + 1}, rep
 
     @pytest.mark.parametrize(
         "times",

@@ -270,7 +270,7 @@ class TestRunReplication:
         counted(splines, "design_matrix")  # the chosen subset's one solve
         counted(knots, "gcv_score")
         config = case1_config()
-        knots._grid_design.cache_clear()
+        knots._grid_factor.cache_clear()
         assert run_replication(config, 0).ok
         assert calls == ["knots.design_matrix", "splines.design_matrix"]
         # every replication shares the grid and the times, so later ones build only the chosen subset's design
@@ -283,10 +283,10 @@ class TestRunReplication:
         damped = dict(theta_star=(0.0, -1.5, 1.0, 1.5, -1.0, -1.5), fixed={"a1": 0.0, "b2": -1.0}, x0=(4.0, 2.0))
         config = case1_config(n=500) if design == "cycle" else case1_config(n=500, **damped)
         clear_program_caches()
-        assert knots._grid_design.cache_info().currsize == 0
+        assert knots._grid_factor.cache_info().currsize == 0
         cold = run_replication(config, 1)
         warm = run_replication(config, 1)
-        assert knots._grid_design.cache_info().hits >= 1
+        assert knots._grid_factor.cache_info().hits >= 1
         assert cold.ok and warm.ok
         assert cold.selected_knots == warm.selected_knots
         assert cold.curve_rmse.tobytes() == warm.curve_rmse.tobytes()
