@@ -190,12 +190,21 @@ class SplineFit:
 
 def _least_squares(basis: BSplineBasis, ts: np.ndarray, ys: np.ndarray) -> tuple[SplineFit, np.ndarray]:
     """The fit of the (n, d) ys on the basis and its per-dimension RSS: one design, one lstsq."""
-    design = design_matrix(basis, ts)
-    n, kdim = design.shape
-    coef, _, rank, _ = np.linalg.lstsq(design, ys, rcond=SV_CUTOFF)
-    rss = np.sum((ys - design @ coef) ** 2, axis=0)
-    dof = n - kdim
-    sigma2 = rss / dof if dof > 0 else np.zeros(ys.shape[1])
+    return _solve(basis, ts, design_matrix(basis, ts), ys)
+
+
+def _solve(basis: BSplineBasis, ts: np.ndarray, design: np.ndarray, rhs: np.ndarray, rss0=0.0):
+    """The basis' fit on the times ts from one lstsq of rhs on design, and its RSS: rss0 plus the solve's.
+
+    design is the basis' design on ts and rhs the observations Y, or Q' times
+    each, for a Q with orthonormal columns whose span holds the design's, and
+    rss0 the RSS of Y outside that span.
+    """
+    kdim = basis.dimension
+    coef, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=SV_CUTOFF)
+    rss = rss0 + np.sum((rhs - design @ coef) ** 2, axis=0)
+    dof = ts.size - kdim
+    sigma2 = rss / dof if dof > 0 else np.zeros(rhs.shape[1])
     fit = SplineFit(
         basis=basis,
         coefficients=coef.T.copy(),

@@ -254,7 +254,7 @@ class TestRunReplication:
             "montecarlo.grid_table": 1,
         }
 
-    def test_one_design_for_the_search_and_one_for_the_chosen_fit(self, monkeypatch):
+    def test_one_design_for_the_search_and_none_for_the_chosen_fit(self, monkeypatch):
         calls = []
 
         def counted(module, name):
@@ -267,16 +267,16 @@ class TestRunReplication:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(knots, "design_matrix")  # the search's grid design on the times
-        counted(splines, "design_matrix")  # the chosen subset's one solve
+        counted(splines, "design_matrix")
         counted(knots, "gcv_score")
         config = case1_config()
         knots._grid_factor.cache_clear()
         assert run_replication(config, 0).ok
-        assert calls == ["knots.design_matrix", "splines.design_matrix"]
-        # every replication shares the grid and the times, so later ones build only the chosen subset's design
+        assert calls == ["knots.design_matrix"]
+        # every replication shares the grid and the times, and the chosen fit is solved on the grid's K rows
         calls.clear()
         assert run_replication(config, 1).ok
-        assert calls == ["splines.design_matrix"]
+        assert calls == []
 
     @pytest.mark.parametrize("design", ["cycle", "damped"])
     def test_cold_caches_give_the_warm_replication_bit_for_bit(self, design):
@@ -350,8 +350,10 @@ class TestRunReplication:
             if len(calls) == 3:  # replication 2
                 raise IdentifiabilityError("free parameters are not identifiable along: +1.00*a2")
             estimates = real(fit, model, criteria)
-            if len(calls) == 6:  # replication 5: the second weight did not converge
-                estimates["uniform"] = dataclasses.replace(estimates["uniform"], converged=False)
+            if len(calls) == 6:  # replication 5: the second weight's estimate is not finite
+                theta_hat = estimates["uniform"].theta_hat.copy()
+                theta_hat[0] = np.nan
+                estimates["uniform"] = dataclasses.replace(estimates["uniform"], theta_hat=theta_hat)
             return estimates
 
         monkeypatch.setattr(mc, "estimate_weights", failing)
@@ -359,7 +361,7 @@ class TestRunReplication:
         assert table.n_failed == 2
         assert table.failures == (
             "IdentifiabilityError: free parameters are not identifiable along: +1.00*a2",
-            "non-converged (uniform)",
+            "non-finite estimate (uniform)",
         )
         assert table.weight_summary("uniform").n_used == 8
         write_raw_csv(table, tmp_path / "raw.csv")
