@@ -17,7 +17,8 @@ def truncated_power_design(interval, interior_knots, order, times):
     """Design matrix of the truncated power basis 1, t, .., t^(k-1), (t - xi_j)_+^(k-1).
 
     Spans the same space as the B-spline basis on the same knots but is much
-    worse conditioned: an independent oracle for the B-splines.
+    worse conditioned: an independent oracle for the B-splines and for the
+    knot search's collocation table.
     """
     ts = np.asarray(times, dtype=float)
     lo, hi = interval

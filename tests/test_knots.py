@@ -22,6 +22,8 @@ from gradmatch.montecarlo import ExperimentConfig, simulate_data
 from gradmatch import splines
 from gradmatch.splines import BSplineBasis, KnotSequence, design_matrix, fit_least_squares
 
+from conftest import truncated_power_design
+
 CYCLE = dict(theta_star=(0.0, -1.5, 1.0, 2.0, 0.0, -1.5), fixed={"a1": 0.0, "b2": 0.0}, x0=(1.0, 2.0))
 DAMPED = dict(theta_star=(0.0, -1.5, 1.0, 1.5, -1.0, -1.5), fixed={"a1": 0.0, "b2": -1.0}, x0=(4.0, 2.0))
 STUDY_SEED = 20260815
@@ -348,6 +350,30 @@ class TestSweptScores:
                 want = [gcv_score(times, y_in, grid[s], order, interval) for s in subsets]
                 np.testing.assert_allclose(knots._gcv(rss, n, m), want, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("n", [60, 500])
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_moves_keep_w_the_sweep_of_its_dropped_set(self, order, n):
+        # after 40 random drops and adds, W equals its closed form on the dropped set D and the kept set K
+        rng = np.random.default_rng(7000 + 10 * order + n)
+        candidates = {60: 15, 500: 30}[n]
+        times, y, interval, grid, dropped, w, _, a = swept_case(rng, n, order, 2, candidates)
+        _, jr, _, ry, _ = knots._project(times, y, BSplineBasis(KnotSequence(interval, tuple(grid), order)))
+        r = jr @ ry
+        d, k = np.flatnonzero(dropped), np.flatnonzero(~dropped)
+        assert d.size and k.size
+        inv = np.linalg.inv(a[np.ix_(d, d)])
+        want = np.zeros_like(w)
+        want[np.ix_(d, d)] = -inv
+        want[np.ix_(d, k)] = inv @ a[np.ix_(d, k)]
+        want[np.ix_(k, d)] = want[np.ix_(d, k)].T
+        want[np.ix_(k, k)] = a[np.ix_(k, k)] - a[np.ix_(k, d)] @ inv @ a[np.ix_(d, k)]
+        want[d, candidates:] = inv @ r[d]
+        want[k, candidates:] = r[k] - a[np.ix_(k, d)] @ inv @ r[d]
+        want[candidates:, :candidates] = want[:candidates, candidates:].T
+        want[candidates:, candidates:] = -r[d].T @ inv @ r[d]
+        bound = (1e-14 + 1e-15 * np.linalg.cond(a[np.ix_(d, d)])) * np.abs(want).max()
+        np.testing.assert_allclose(w, want, rtol=0, atol=bound)
+
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
     def test_a_sweep_and_its_reverse_restore_w(self, order):
         rng = np.random.default_rng(order)
@@ -394,6 +420,17 @@ class TestGridTables:
             assert not got.flags.writeable, name
             with pytest.raises(ValueError):
                 got[0] = 0.0
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_collocation_gives_truncated_power_coefficients(self, order):
+        interval = (0.0, 2.0)
+        grid = uniform_knots(interval, 7)
+        ts = np.linspace(0.0, 2.0, 301)
+        basis = BSplineBasis(KnotSequence(interval, tuple(grid), order))
+        _, sites, collocate = knots._grid_tables(basis)
+        coef = collocate @ truncated_power_design(interval, grid, order, sites)[:, order:]
+        want = truncated_power_design(interval, grid, order, ts)[:, order:]
+        np.testing.assert_allclose(design_matrix(basis, ts) @ coef, want, rtol=0, atol=1e-13)
 
     def test_cached_factor_is_read_only_and_equals_its_definition(self):
         interval, order = (0.0, 20.0), 4
@@ -494,6 +531,30 @@ class TestMatchesReferenceWalk:
             count = default_knot_count(n)
             want = reference_elim_add(times, ys, interval, count)
             assert_same_walk(elim_add(times, ys, interval, count), want, times, interval, rep)
+
+    @pytest.mark.parametrize("n", [20, 50, 200, 1000])
+    @pytest.mark.parametrize("design", [CYCLE, DAMPED], ids=["cycle", "damped"])
+    def test_one_factorization_per_search(self, design, n, monkeypatch):
+        # a study's replications share the grid and the times: its first search factors
+        # the grid's design, every later one reads that factor, and each accepted move is one sweep
+        knots._grid_factor.cache_clear()
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append("qr") or qr(*a, **k))
+        monkeypatch.setattr(knots, "gcv_score", lambda *a: calls.append("gcv_score") or gcv_score(*a))
+        swept = []
+        sweep = knots._sweep
+        monkeypatch.setattr(knots, "_sweep", lambda w, k: swept.append(k) or sweep(w, k))
+        count = default_knot_count(n)
+        for rep, times, ys, interval in study_datasets(design, n, 10):
+            swept.clear()
+            result = elim_add(times, ys, interval, count)
+            assert calls == ["qr"], rep
+            info = knots._grid_factor.cache_info()
+            assert (info.misses, info.hits) == (1, rep), rep
+            # a knot dropped and added back is swept twice
+            net = count - len(result.selected_knots)
+            assert len(swept) >= net and (len(swept) - net) % 2 == 0, rep
 
     # ten of the slow gate's designs: the first nine and the one whose pivot rule trips
     @pytest.mark.parametrize("seed", [*range(9), 176])
