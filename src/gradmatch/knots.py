@@ -17,17 +17,20 @@ knot k moves the RSS by W[k, c:]^2 / W[k, k], a rise for a drop and a fall
 for an add, an accepted move is one sweep, and the current RSS is
 RSS(grid) - diag(W[c:, c:]).  So every trial is scored at a cost that does
 not depend on the sample size.  `gcv_score` stays the definition and the
-oracle: it scores every trial where R_B is rank-deficient, and any sweep with
-a pivot at or under SV_CUTOFF A[k, k].  The chosen subset's fit solves the
-same least squares on the grid's K rows: B_S = Q_B R_B T_S, with T_S read off
-the grid's Greville sites, so the fit is the lstsq of R_Y on R_B T_S, read in
-the grid's basis by T_S, and its RSS adds the part of Y outside the grid's
-span.  The grid-only tables (jumps, Greville sites, collocation inverse) are
-built once per grid, and Q_B, R_B, JR and A once per grid and times, all
-read-only: every replication of a study shares them, so a search computes
-only R_Y, r and its sweeps.  Q_B is the largest table (about 136 KB at
-n = 500, K = 34).  Both caches are bounded and fill on first use, never at
-import.
+oracle: it scores every trial where R_B is rank-deficient, any sweep with a
+pivot at or under SV_CUTOFF A[k, k], and every trial after a move whose own
+pivot is that small, which is not swept.  The search's chosen subset is
+fitted on the grid's K rows: B_S = Q_B R_B T_S, with T_S read off the grid's
+Greville sites, so the fit is the lstsq of R_Y on R_B T_S, read in the grid's
+basis by T_S, and its RSS adds the part of Y outside the grid's span.  The
+fixed-uniform policy searches nothing and fits its grid by
+fit_least_squares' own n-row lstsq; on a near-square design (15 knots at
+n = 20) the K-row solve lands 4e-12 from it.  The grid-only tables (jumps,
+Greville sites, collocation inverse) are built once per grid, and Q_B, R_B,
+JR and A once per grid and times, all read-only: every replication of a
+study shares them, so a search computes only R_Y, r and its sweeps.  Q_B is
+the largest table (about 136 KB at n = 500, K = 34).  Both caches are
+bounded and fill on first use, never at import.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .splines import (
     eval_basis_derivative,
 )
 from . import splines
-from .splines import SV_CUTOFF
 
 # sample-size brackets for the default candidate count
 _COUNT_TABLE = ((20, 15), (30, 15), (50, 20), (100, 30))
@@ -83,8 +85,9 @@ class SelectionResult:
 
     trials counts the knot subsets the search scored; sweeps counts its
     elimination-and-addition rounds (at most ten).  fit is the least-squares
-    spline on the chosen knots, equal to fit_least_squares there, its path
-    in the candidate grid's basis; it is left out of comparisons.
+    spline on the chosen knots, equal to fit_least_squares there to rounding
+    (a search's fit is solved on the grid's K rows), its path in the candidate
+    grid's basis; it is left out of comparisons.
     """
 
     selected_knots: tuple[float, ...]
@@ -173,7 +176,7 @@ def _grid_factor(basis: BSplineBasis, times: bytes) -> tuple:
     """
     qb, rb = np.linalg.qr(design_matrix(basis, np.frombuffer(times)))
     sv = np.linalg.svd(rb, compute_uv=False)
-    if sv.size < basis.dimension or sv[-1] <= SV_CUTOFF * sv[0]:
+    if sv.size < basis.dimension or sv[-1] <= splines.SV_CUTOFF * sv[0]:
         return (*splines.read_only(qb, rb), None, None)
     jr = np.linalg.solve(rb.T, _grid_tables(basis)[0].T).T
     return splines.read_only(qb, rb, jr, jr @ jr.T)
@@ -197,19 +200,25 @@ def _sweep(w: np.ndarray, k: int) -> None:
     w[k, k] = -1.0 / pivot
 
 
-def _toggled_rss(w, a, rss0, ks, add: bool):
-    """Per-dimension RSS of W's subset with each knot of ks toggled; None if a pivot is <= SV_CUTOFF A[k, k].
+def _pivots_pass(w, a, ks, add: bool) -> np.ndarray:
+    """Whether toggling each knot of ks (or the one knot ks) pivots above SV_CUTOFF A[k, k].
 
-    ks are all kept knots (drops) or all dropped ones (adds).  Toggling k moves
-    the RSS by W[k, c:]^2 / W[k, k], a rise for a drop and a fall for an add.
-    Its pivot, JR_k's squared distance from the other dropped rows of JR, is
-    W[k, k] for a drop and -1 / W[k, k] for an add.
+    ks are all kept knots (drops) or all dropped ones (adds).  The pivot of k,
+    JR_k's squared distance from the other dropped rows of JR, is W[k, k] for
+    a drop and -1 / W[k, k] for an add.
     """
-    c = a.shape[0]
     pivot = w.diagonal()[ks]
-    if np.all((-1.0 / pivot if add else pivot) > SV_CUTOFF * a.diagonal()[ks]):
-        return rss0 - w.diagonal()[c:] + w[ks, c:] ** 2 / pivot[:, None]
-    return None
+    return (-1.0 / pivot if add else pivot) > splines.SV_CUTOFF * a.diagonal()[ks]
+
+
+def _toggled_rss(w, rss0, ks) -> np.ndarray:
+    """Per-dimension RSS of W's subset with each knot of ks toggled (all kept, or all dropped).
+
+    Toggling k moves the RSS by W[k, c:]^2 / W[k, k], a rise for a drop and a
+    fall for an add.
+    """
+    c = w.shape[0] - rss0.size
+    return rss0 - w.diagonal()[c:] + w[ks, c:] ** 2 / w.diagonal()[ks, None]
 
 
 def elim_add(times, y, interval, candidate_count: int) -> SelectionResult:
@@ -224,8 +233,10 @@ def elim_add(times, y, interval, candidate_count: int) -> SelectionResult:
     from there every move lowers the score, so it ends on its best subset.
     Ties break toward the smaller knot index, so the walk is deterministic.
     Trials are scored from the bordered matrix W swept on the dropped knots
-    (see the module docstring).  The chosen subset is solved once on the
-    grid's K rows, which gives the returned fit and its gcv_value.
+    (see the module docstring); after a move whose pivot fails _pivots_pass,
+    W is dropped and gcv_score scores every later trial.  The chosen subset is
+    solved once on the grid's K rows, which gives the returned fit and its
+    gcv_value.
     """
     ts = np.asarray(times, dtype=float)
     ys = np.asarray(y, dtype=float)
@@ -234,24 +245,25 @@ def elim_add(times, y, interval, candidate_count: int) -> SelectionResult:
     n, c = ts.size, candidate_count
     grid = uniform_knots(interval, c)
     basis = BSplineBasis(KnotSequence(interval, tuple(grid), KnotPolicy.order))
-    rb, jr, a, ry, rss0 = _project(ts, ys, basis)  # rss0 is the full grid's RSS when A is not None
+    qb, rb, jr, a = _grid_factor(basis, ts.tobytes())
+    ry = qb.T @ ys
+    rss0 = np.sum((ys - qb @ ry) ** 2, axis=0)  # the RSS outside the grid's span: the full grid's when A is not None
     w = None if a is None else _bordered(jr, a, ry)
     dropped = np.zeros(c, dtype=bool)
     trials = 1
 
     def scores(ks, add: bool) -> np.ndarray:
-        """GCV of the current subset with each knot of ks toggled (see _toggled_rss): +inf when 3m + 1 >= n.
+        """GCV of the current subset with each knot of ks toggled: +inf when 3m + 1 >= n.
 
-        A sweep that _toggled_rss cannot score is scored by gcv_score.
+        Read off W (see _toggled_rss) when every pivot passes, else scored by gcv_score.
         """
         nonlocal trials
         trials += len(ks)
         num_knots = c - ks.size + 1 if add else ks.size - 1
         if effective_params(num_knots) >= n:
             return np.full(len(ks), np.inf)
-        rss = None if w is None else _toggled_rss(w, a, rss0, ks, add)
-        if rss is not None:
-            return _gcv(rss, n, num_knots)
+        if w is not None and _pivots_pass(w, a, ks, add).all():
+            return _gcv(_toggled_rss(w, rss0, ks), n, num_knots)
         toggled = [np.flatnonzero(dropped == (np.arange(c) == k)) for k in ks]
         return np.array([gcv_score(ts, ys, grid[idx], KnotPolicy.order, interval) for idx in toggled])
 
@@ -271,8 +283,10 @@ def elim_add(times, y, interval, candidate_count: int) -> SelectionResult:
                 forced = not (add or np.isfinite(current_score))
                 if forced or scored[pos] < current_score:
                     dropped[ks[pos]] = not add
-                    if w is not None:
+                    if w is not None and _pivots_pass(w, a, ks[pos], add):
                         _sweep(w, ks[pos])
+                    else:
+                        w = None  # a sweep on this pivot would spoil every later read of W
                     current_score = float(scored[pos])
                     changed = True
                 else:
@@ -284,38 +298,24 @@ def elim_add(times, y, interval, candidate_count: int) -> SelectionResult:
         raise DegreesOfFreedomError(
             f"no scoreable knot subset for n = {n} and {candidate_count} candidates"
         )
-    return _selection(ts, basis, np.flatnonzero(~dropped), (rb, ry, rss0), trials=trials, sweeps=sweeps)
+    # B_S = Q_B R_B T_S, so the fit solves the K-row problem min |R_Y - R_B T_S c|
+    if not dropped.any():
+        return _selection(basis, *splines._solve(basis, ts, rb, ry, rss0), trials, sweeps)
+    chosen = BSplineBasis(KnotSequence(interval, tuple(grid[~dropped]), KnotPolicy.order))
+    refine = _refinement(basis, chosen)
+    fit, rss = splines._solve(chosen, ts, rb @ refine, ry, rss0)
+    return _selection(basis, replace(fit, grid=(basis.knots, fit.coefficients @ refine.T)), rss, trials, sweeps)
 
 
-def _project(ts, ys, basis: BSplineBasis) -> tuple:
-    """The basis' cached factor on ts (see _grid_factor), R_Y = Q_B' Y and rss0, the RSS of Y outside Q_B."""
-    qb, rb, jr, a = _grid_factor(basis, ts.tobytes())
-    ry = qb.T @ ys
-    return rb, jr, a, ry, np.sum((ys - qb @ ry) ** 2, axis=0)
-
-
-def _selection(ts, grid_basis, idx, projected, trials, sweeps=0) -> SelectionResult:
-    """The grid knots idx: their cubic fit, its path in the grid's basis, and GCV (+inf when 3m + 1 >= n).
-
-    projected is (R_B, R_Y, rss0) of _project.  B_S = Q_B R_B T_S, so the fit
-    solves the K-row problem min |R_Y - R_B T_S c|, and its RSS is rss0 plus that one's.
-    """
-    rb, ry, rss0 = projected
-    grid = grid_basis.knots.interior_knots
-    chosen = tuple(grid[i] for i in idx)
-    basis = BSplineBasis(KnotSequence(grid_basis.interval, chosen, KnotPolicy.order))
-    if len(chosen) == len(grid):
-        fit, rss = splines._solve(basis, ts, rb, ry, rss0)
-    else:
-        refine = _refinement(grid_basis, basis)
-        fit, rss = splines._solve(basis, ts, rb @ refine, ry, rss0)
-        fit = replace(fit, grid=(grid_basis.knots, fit.coefficients @ refine.T))
+def _selection(grid_basis, fit, rss, trials, sweeps=0) -> SelectionResult:
+    """The result of a fit on some of the grid's knots and its per-dimension RSS: GCV is +inf when 3m + 1 >= n."""
+    chosen, n = fit.basis.knots.interior_knots, fit.times.size
     d = effective_params(len(chosen))
     return SelectionResult(
         selected_knots=chosen,
-        gcv_value=float(_gcv(rss, ts.size, len(chosen))) if d < ts.size else np.inf,
+        gcv_value=float(_gcv(rss, n, len(chosen))) if d < n else np.inf,
         effective_params=d,
-        candidates=grid,
+        candidates=grid_basis.knots.interior_knots,
         trials=trials,
         sweeps=sweeps,
         fit=fit,
@@ -330,6 +330,5 @@ def select_knots(times, y, interval, policy: KnotPolicy) -> SelectionResult:
         ys = np.asarray(y, dtype=float)
         ys = ys[:, None] if ys.ndim == 1 else ys
         grid_basis = BSplineBasis(KnotSequence(interval, tuple(uniform_knots(interval, count)), KnotPolicy.order))
-        rb, _, _, ry, rss0 = _project(ts, ys, grid_basis)
-        return _selection(ts, grid_basis, range(count), (rb, ry, rss0), trials=1)
+        return _selection(grid_basis, *splines._least_squares(grid_basis, ts, ys), trials=1)
     return elim_add(ts, y, interval, count)
