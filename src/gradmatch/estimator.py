@@ -20,13 +20,14 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GradMatchError, IdentifiabilityError, IdentifiabilityWarning
 from .models import PartiallyLinearSystem, Trajectory, VectorFieldModel, duhamel_solve
-from .splines import SV_CUTOFF, SplineFit, eval_fit, grid_table, quadrature_nodes
+from .splines import QUAD_NODES, SV_CUTOFF, KnotSequence, SplineFit, eval_fit, grid_table, quadrature_nodes, read_only
 
 _SINGULAR_CONDITION = 1e10
 _MAX_ITER = 200
@@ -134,14 +135,30 @@ class _PathSample(NamedTuple):
     xdot: np.ndarray
 
 
+@lru_cache(maxsize=16)
+def _uniform_rows(knots: KnotSequence) -> np.ndarray:
+    """Which rows of grid_table(knots) are uniform quadrature nodes, read-only, once per grid."""
+    nodes = quadrature_nodes(knots)
+    uniform = np.zeros(nodes.size, dtype=bool)
+    uniform[np.searchsorted(nodes, np.linspace(*knots.interval, QUAD_NODES))] = True
+    return read_only(uniform)[0]
+
+
 def _sample_path(fit: SplineFit) -> _PathSample:
-    """The estimator's one evaluation of the spline path on the quadrature grid, read off its grid's table."""
-    nodes, delta = quadrature_grid(fit)
+    """The estimator's one evaluation of the spline path on the quadrature grid, read off its grid's table.
+
+    A fit on its own grid takes the whole table.  A search fit's nodes, the
+    uniform nodes and its own knots, are two sets of the table's rows:
+    quadrature_grid(fit) gives the same nodes and weights.
+    """
     knots, g = fit.grid_path
-    table_nodes, basis, slope = grid_table(knots)
-    rows = np.searchsorted(table_nodes, nodes)
-    assert np.array_equal(table_nodes[rows], nodes), "quadrature nodes outside the grid's table"
-    return _PathSample(nodes, delta, (basis @ g.T)[rows], (slope @ g.T)[rows])
+    nodes, basis, slope = grid_table(knots)
+    x, xdot = basis @ g.T, slope @ g.T
+    if fit.grid is not None:
+        rows = _uniform_rows(knots).copy()
+        rows[np.searchsorted(nodes, fit.basis.knots.interior_knots)] = True
+        nodes, x, xdot = nodes[rows], x[rows], xdot[rows]
+    return _PathSample(nodes, 0.5 * _neighbour_spans(nodes), x, xdot)
 
 
 def _residuals(sample: _PathSample, model: VectorFieldModel, theta):

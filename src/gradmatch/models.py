@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -62,13 +63,14 @@ class VectorFieldModel:
     def n_params(self) -> int:
         return len(self.param_names)
 
-    @property
+    @cached_property
     def free_indices(self) -> np.ndarray:
-        return np.nonzero(~self.fixed_mask)[0]
+        """Indices of the free parameters, read-only, computed once per model."""
+        return read_only(np.nonzero(~self.fixed_mask)[0])[0]
 
     @property
     def n_free(self) -> int:
-        return int(np.sum(~self.fixed_mask))
+        return self.free_indices.size
 
 
 def glv_field(fixed_mask=None, fixed_values=None) -> VectorFieldModel:

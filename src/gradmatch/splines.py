@@ -9,7 +9,8 @@ convention, half-open spans, and the last nonempty span closed on the right so
 the basis still sums to one at ``t_hi``.  It runs locally, over the ``order``
 B-splines nonzero on each point's span, and scatters them into dense matrices
 that equal the all-columns recurrence bit for bit; non-finite points are
-rejected.
+rejected.  The n-row design of a basis on a set of times is built once and
+cached read-only (8 entries), so every fit on both shares it.
 """
 
 from __future__ import annotations
@@ -188,9 +189,15 @@ class SplineFit:
         return (self.basis.knots, self.coefficients) if self.grid is None else self.grid
 
 
+@lru_cache(maxsize=8)
+def _design(basis: BSplineBasis, times: bytes) -> np.ndarray:
+    """design_matrix of the basis on the float64 times of these bytes, read-only: every fit on both shares it."""
+    return read_only(design_matrix(basis, np.frombuffer(times)))[0]
+
+
 def _least_squares(basis: BSplineBasis, ts: np.ndarray, ys: np.ndarray) -> tuple[SplineFit, np.ndarray]:
-    """The fit of the (n, d) ys on the basis and its per-dimension RSS: one design, one lstsq."""
-    return _solve(basis, ts, design_matrix(basis, ts), ys)
+    """The fit of the (n, d) ys on the basis and its per-dimension RSS: the basis' cached design, one lstsq."""
+    return _solve(basis, ts, _design(basis, ts.tobytes()), ys)
 
 
 def _solve(basis: BSplineBasis, ts: np.ndarray, design: np.ndarray, rhs: np.ndarray, rss0=0.0):
@@ -224,6 +231,8 @@ def fit_least_squares(basis: BSplineBasis, times, observations) -> SplineFit:
     """
     ts = np.asarray(times, dtype=float)
     ys = np.asarray(observations, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"observation times must be one-dimensional, got shape {ts.shape}")
     if ys.ndim == 1:
         ys = ys[:, None]
     if ts.size == 0 or ys.size == 0:
@@ -255,8 +264,10 @@ def read_only(*arrays) -> tuple:
 
 
 def quadrature_nodes(knots: KnotSequence) -> np.ndarray:
-    """QUAD_NODES uniform nodes on the interval merged with the knots."""
-    return np.union1d(np.linspace(*knots.interval, QUAD_NODES), knots.interior_knots)
+    """QUAD_NODES uniform nodes on the interval merged with the knots, sorted, each value once."""
+    merged = np.sort(np.concatenate((np.linspace(*knots.interval, QUAD_NODES), knots.interior_knots)))
+    # np.union1d would give the same bits but import numpy.ma on a process's first call
+    return merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
 
 
 @lru_cache(maxsize=16)
@@ -276,7 +287,7 @@ def grid_table(knots: KnotSequence, fine: bool = False) -> tuple[np.ndarray, ...
 
 def _normal_matrix_pinv(fit: SplineFit) -> np.ndarray:
     """Pseudoinverse of design' * design via the design's SVD (cutoff 1e-12)."""
-    design = design_matrix(fit.basis, fit.times)
+    design = _design(fit.basis, fit.times.tobytes())
     _, sv, vt = np.linalg.svd(design, full_matrices=False)
     keep = sv > SV_CUTOFF * sv[0]
     inv2 = np.zeros_like(sv)

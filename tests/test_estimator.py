@@ -14,6 +14,7 @@ from gradmatch import (
     ExperimentConfig,
     IdentifiabilityError,
     IdentifiabilityWarning,
+    KnotPolicy,
     KnotSequence,
     PartiallyLinearSystem,
     TwoStepEstimate,
@@ -35,9 +36,11 @@ from gradmatch import (
     select_knots,
     simulate_data,
     smooth_functional,
+    uniform_knots,
     write_report,
 )
 from gradmatch import estimator
+from gradmatch.splines import QUAD_NODES
 from gradmatch.errors import BlowupError
 
 from conftest import central_difference_smooth_integral, glv_param_jacobian_stacked
@@ -579,7 +582,7 @@ class TestEstimateFromOneSample:
             calls.clear()
             run()
             # one sample of the grid, read off the grid's tables, which gamma_b reads too
-            assert calls == {"quadrature_grid": 1, "grid_table": 1}, label
+            assert calls == {"grid_table": 1}, label
 
     def test_closed_form_evaluates_param_jacobian_once_on_the_grid(self):
         fit = noisy_case1_fit()
@@ -659,6 +662,44 @@ class TestEstimateWeights:
         model = dataclasses.replace(case1_model(), linear=False)
         with pytest.raises(ValueError, match="not declared linear"):
             estimate_weights(noisy_case1_fit(), model, {"a": CriterionConfig(UNIFORM_20)})
+
+
+def searchsorted_sample(fit):
+    """The path sample by quadrature_grid, then each node located in the grid's table: the oracle of _sample_path."""
+    nodes, delta = quadrature_grid(fit)
+    knots, g = fit.grid_path
+    table_nodes, basis, slope = estimator.grid_table(knots)
+    rows = np.searchsorted(table_nodes, nodes)
+    assert np.array_equal(table_nodes[rows], nodes), "quadrature nodes outside the grid's table"
+    return nodes, delta, (basis @ g.T)[rows], (slope @ g.T)[rows]
+
+
+class TestSamplePathRows:
+    """_sample_path reads a fit's nodes off its grid's table: the whole table, or the uniform rows and its knots."""
+
+    @pytest.mark.parametrize("t_end", [20.0, 19.98, 7.3])
+    @pytest.mark.parametrize("count", [None, 20, 45, 60])
+    def test_sample_equals_the_searchsorted_route(self, count, t_end):
+        # on (0, 20) the default 30 candidates lie on the uniform nodes; the other grids have knots off them
+        config = ExperimentConfig(model="glv", n=200, t_end=t_end, replications=3, seed=11, **DESIGNS["cycle"])
+        searched = 0
+        for rep in range(3):
+            times, ys = simulate_data(config, rep)
+            for selection in ("elim-add", "fixed-uniform"):
+                fit = select_knots(times, ys, config.interval, KnotPolicy(count, selection)).fit
+                searched += fit.grid is not None
+                got = estimator._sample_path(fit)
+                for a, b in zip(got, searchsorted_sample(fit)):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (rep, selection)
+        assert searched == 3  # every search here drops knots, so its fit is read in the grid's basis
+
+    def test_uniform_rows_are_read_only_and_cached_per_grid(self):
+        knots = KnotSequence((0.0, 7.3), tuple(uniform_knots((0.0, 7.3), 45)), 4)
+        rows = estimator._uniform_rows(knots)
+        assert estimator._uniform_rows.cache_info().maxsize is not None
+        assert estimator._uniform_rows(KnotSequence((0.0, 7.3), knots.interior_knots, 4)) is rows
+        assert not rows.flags.writeable
+        assert rows.sum() == QUAD_NODES and rows.size == QUAD_NODES + 45
 
 
 class TestCriterionHessian:

@@ -459,8 +459,10 @@ class TestGridTables:
             monkeypatch.setattr(module, "design_matrix", lambda *args, real=real: calls.append(args) or real(*args))
         elim_add(ts, np.cos(ts), interval, 30)
         assert calls == []
-        # the fixed grid is fit by fit_least_squares' own n-row solve
+        # the fixed grid is fit by fit_least_squares' own n-row solve, on its design cached per grid and times
+        splines._design.cache_clear()
         select_knots(ts, y, interval, KnotPolicy(candidate_count=30, selection="fixed-uniform"))
+        select_knots(ts, np.cos(ts), interval, KnotPolicy(candidate_count=30, selection="fixed-uniform"))
         assert len(calls) == 1
 
     @pytest.mark.parametrize(

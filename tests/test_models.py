@@ -142,6 +142,14 @@ class TestGLVField:
         np.testing.assert_array_equal(model.free_indices, [1, 2, 3, 5])
         assert model.n_free == 4
 
+    @pytest.mark.parametrize("mask", [None, [True, False, False, False, True, False], [True] * 6])
+    def test_free_indices_computed_once_read_only(self, mask):
+        model = glv_field(mask)
+        free = model.free_indices
+        assert free.tobytes() == np.nonzero(~model.fixed_mask)[0].tobytes()
+        assert model.free_indices is free
+        assert not free.flags.writeable
+
     @pytest.mark.parametrize("field", ["fixed_mask", "fixed_values"])
     def test_rejects_fixed_arrays_of_the_wrong_length(self, field):
         with pytest.raises(ValueError, match=f"{field} must have shape \\(6,\\)"):

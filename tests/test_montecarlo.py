@@ -249,7 +249,6 @@ class TestRunReplication:
         # reads too, and one of the fine grid (curve RMSE), each read off the
         # grid's tables
         assert calls == {
-            "estimator.quadrature_grid": 1,
             "estimator.grid_table": 1,
             "montecarlo.grid_table": 1,
         }
@@ -295,6 +294,42 @@ class TestRunReplication:
             for field in dataclasses.fields(est):
                 a, b = np.asarray(getattr(est, field.name)), np.asarray(getattr(warm.estimates[name], field.name))
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, field.name)
+
+    def test_cold_caches_give_the_warm_fixed_knot_fit_bit_for_bit(self):
+        # a fixed-knot fit of the damped design at n = 1000, each weight's closed form and Gauss-Newton
+        config = case1_config(n=1000, theta_star=(0.0, -1.5, 1.0, 1.5, -1.0, -1.5), fixed={"a1": 0.0, "b2": -1.0},
+                              x0=(4.0, 2.0))
+        basis = BSplineBasis(KnotSequence(config.interval, tuple(np.linspace(0.0, 20.0, 22)[1:-1]), 4))
+        model = config.build_model()
+        times, ys = simulate_data(config, 0)
+
+        def run():
+            fit = fit_least_squares(basis, times, ys)
+            estimates = []
+            for crit in mc._criteria(config.weights, config.interval).values():
+                estimates.append(estimator.fit_linear_in_theta(fit, model, crit))
+                estimates.append(estimator.fit_nonlinear(fit, model, np.asarray(config.theta_star), crit))
+            return fit, estimates
+
+        clear_program_caches()
+        for cache in (splines._design, splines.grid_table, estimator._uniform_rows, mc._criteria):
+            assert cache.cache_info().currsize == 0
+        (cold_fit, cold), (warm_fit, warm) = run(), run()
+        assert splines._design.cache_info().hits == 1
+        assert cold_fit.coefficients.tobytes() == warm_fit.coefficients.tobytes()
+        for a, b in zip(cold, warm):
+            for field in dataclasses.fields(a):
+                x, y = np.asarray(getattr(a, field.name)), np.asarray(getattr(b, field.name))
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), field.name
+
+    def test_one_read_only_set_of_criteria_per_weights_and_interval(self):
+        config = case1_config()
+        crits = mc._criteria(config.weights, config.interval)
+        assert mc._criteria.cache_info().maxsize is not None
+        assert mc._criteria(case1_config(seed=5).weights, (0.0, 20.0)) is crits
+        assert dict(crits) == {name: CriterionConfig(weight=config.weight_function(name)) for name in config.weights}
+        with pytest.raises(TypeError):
+            crits["uniform"] = None
 
     @pytest.mark.parametrize("design", ["cycle", "damped"])
     def test_diagnostics_equal_the_public_functionals_on_the_fit(self, design):
@@ -462,6 +497,27 @@ class TestPathFromGridTables:
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mc.__file__)))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "0"
+
+
+    def test_first_fits_import_no_numpy_ma(self):
+        # numpy.ma takes 11-14 ms to import, which each `mc --jobs N` worker would pay on its first fit
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from gradmatch import (BSplineBasis, CriterionConfig, ExperimentConfig, KnotSequence,\n"
+            "                       fit_least_squares, fit_nonlinear, run_replication, simulate_data)\n"
+            "config = ExperimentConfig(model='glv', theta_star=(0.0, -1.5, 1.0, 1.5, -1.0, -1.5), x0=(4.0, 2.0),\n"
+            "                          fixed={'a1': 0.0, 'b2': -1.0}, n=200, replications=2)\n"
+            "assert run_replication(config, 0).ok\n"
+            "basis = BSplineBasis(KnotSequence(config.interval, tuple(np.linspace(0.0, 20.0, 22)[1:-1]), 4))\n"
+            "fit = fit_least_squares(basis, *simulate_data(config, 1))\n"
+            "crit = CriterionConfig(config.weight_function('uniform'))\n"
+            "assert fit_nonlinear(fit, config.build_model(), np.asarray(config.theta_star), crit).converged\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mc.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestTruth:

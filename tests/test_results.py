@@ -1,7 +1,7 @@
 """The committed study tables in results/ against a fresh run of configs/full_case*.json.
 
-Each config runs through `gradmatch mc --jobs 2` (about 50 s per config on a
-2-vCPU machine).  Its summary CSV and text must equal the committed files byte
+Each config runs through `gradmatch mc --jobs 2` (both configs together took
+21-32 s on a 2-vCPU machine).  Its summary CSV and text must equal the committed files byte
 for byte, and its raw CSVs must have the SHA-256 digests in
 results/raw_sha256.txt.  Bit-identity is promised only under the numpy
 version that wrote the tables (results/versions.json); under another the test

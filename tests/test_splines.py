@@ -25,7 +25,8 @@ from gradmatch import (
     fit_least_squares,
     pointwise_variance,
 )
-from gradmatch.splines import FINE_POINTS, QUAD_NODES, _normal_matrix_pinv, grid_table
+from gradmatch import splines
+from gradmatch.splines import FINE_POINTS, QUAD_NODES, _normal_matrix_pinv, grid_table, quadrature_nodes
 
 from conftest import truncated_power_design
 
@@ -348,6 +349,10 @@ class TestRegression:
             fit_least_squares(basis, [0.1, 0.2], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="observation times must be nondecreasing"):
             fit_least_squares(basis, [0.1, 0.3, 0.2], [1.0, 2.0, 3.0])
+        # the cached design reads the times' bytes as one flat vector
+        for times in (0.5, [[0.1], [0.2], [0.3]]):
+            with pytest.raises(ValueError, match="observation times must be one-dimensional"):
+                fit_least_squares(basis, times, np.ones(np.size(times)))
         with pytest.raises(GradMatchError, match="design matrix needs at least one observation time"):
             design_matrix(basis, [])
 
@@ -548,6 +553,58 @@ class TestGridTable:
         assert grid_table.cache_info().currsize == 1  # the fine table is built only when asked for
         grid_table(self.KNOTS, fine=True)
         assert grid_table.cache_info().currsize == 2
+
+
+class TestDesignCache:
+    """fit_least_squares reads one cached design per basis and times; design_matrix is its oracle."""
+
+    BASIS = BSplineBasis(KnotSequence((0.0, 20.0), tuple(np.linspace(0.0, 20.0, 22)[1:-1]), 4))
+    TIMES = np.arange(1000) * 0.02
+
+    def test_cached_design_is_read_only_and_equals_design_matrix(self):
+        design = splines._design(self.BASIS, self.TIMES.tobytes())
+        assert splines._design.cache_info().maxsize is not None
+        assert design.tobytes() == design_matrix(self.BASIS, self.TIMES).tobytes()
+        assert not design.flags.writeable
+        with pytest.raises(ValueError):
+            design[0, 0] = 1.0
+
+    def test_ten_fits_on_one_basis_and_times_build_one_design(self, monkeypatch):
+        calls = []
+        real = splines.design_matrix
+        monkeypatch.setattr(splines, "design_matrix", lambda *args: calls.append(args) or real(*args))
+        splines._design.cache_clear()
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            ys = rng.normal(size=(self.TIMES.size, 2))
+            got = fit_least_squares(self.BASIS, list(self.TIMES), ys)
+            want = splines._solve(self.BASIS, self.TIMES, real(self.BASIS, self.TIMES), ys)[0]
+            for field in ("coefficients", "residual_variance", "times"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+            assert got.rank_deficient == want.rank_deficient
+        assert len(calls) == 1
+        # another basis, or other times, is another design
+        other = BSplineBasis(KnotSequence((0.0, 20.0), (5.0, 10.0, 15.0), 4))
+        fit_least_squares(other, self.TIMES, ys)
+        fit_least_squares(self.BASIS, self.TIMES[:-1], ys[:-1])
+        assert len(calls) == 3
+
+    def test_pointwise_variance_reads_the_design_bit_for_bit(self):
+        ys = np.sin(self.TIMES)
+        fit = fit_least_squares(self.BASIS, self.TIMES, ys)
+        _, sv, vt = np.linalg.svd(design_matrix(self.BASIS, self.TIMES), full_matrices=False)
+        keep = sv > splines.SV_CUTOFF * sv[0]
+        inv2 = np.zeros_like(sv)
+        inv2[keep] = 1.0 / sv[keep] ** 2
+        assert _normal_matrix_pinv(fit).tobytes() == ((vt.T * inv2) @ vt).tobytes()
+
+    @pytest.mark.parametrize("t_end", [20.0, 19.98, 7.3])
+    @pytest.mark.parametrize("count", [20, 30, 45, 60])
+    def test_quadrature_nodes_are_the_union_of_the_uniform_nodes_and_the_knots(self, t_end, count):
+        # the knots fall on all, some or none of the uniform nodes across these grids
+        knots = KnotSequence((0.0, t_end), tuple(t_end * np.arange(1, count + 1) / (count + 1)), 4)
+        want = np.union1d(np.linspace(0.0, t_end, QUAD_NODES), knots.interior_knots)
+        assert quadrature_nodes(knots).tobytes() == want.tobytes()
 
 
 class TestTruncatedPower:
