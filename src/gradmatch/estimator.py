@@ -155,8 +155,11 @@ def _sample_path(fit: SplineFit) -> _PathSample:
     nodes, basis, slope = grid_table(knots)
     x, xdot = basis @ g.T, slope @ g.T
     if fit.grid is not None:
+        own = fit.basis.knots.interior_knots
+        at = np.searchsorted(nodes, own)
+        assert np.array_equal(nodes[at], own), "knots outside the grid's table"
         rows = _uniform_rows(knots).copy()
-        rows[np.searchsorted(nodes, fit.basis.knots.interior_knots)] = True
+        rows[at] = True
         nodes, x, xdot = nodes[rows], x[rows], xdot[rows]
     return _PathSample(nodes, 0.5 * _neighbour_spans(nodes), x, xdot)
 

@@ -144,7 +144,7 @@ def gcv_score(times, y, knot_subset, order: int, interval) -> float:
     if d >= n:
         raise DegreesOfFreedomError(f"effective parameters {d} >= sample size {n}")
     basis = BSplineBasis(KnotSequence(interval, tuple(knot_subset), order))
-    return float(_gcv(splines._least_squares(basis, ts, ys)[1], n, len(knot_subset)))
+    return float(_gcv(splines._solve(basis, ts, design_matrix(basis, ts), ys)[1], n, len(knot_subset)))
 
 
 @lru_cache(maxsize=16)

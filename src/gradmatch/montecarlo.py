@@ -17,7 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -167,12 +166,6 @@ def simulate_data(config: ExperimentConfig, rep_index: int) -> tuple[np.ndarray,
     return times, truth + noise
 
 
-@lru_cache(maxsize=8)
-def _criteria(weights: tuple[str, ...], interval: tuple[float, float]) -> MappingProxyType:
-    """The criterion of each named weight on the interval, read-only, built once for every replication."""
-    return MappingProxyType({name: CriterionConfig(weight=WeightFunction.named(name, interval)) for name in weights})
-
-
 @dataclass(frozen=True)
 class ReplicationResult:
     """Outcome of one replication: estimates per weight, or a failure record."""
@@ -207,7 +200,8 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
         diff = basis @ g.T - fine_truth
         curve_rmse = np.sqrt(np.trapezoid(diff**2, fine_ts, axis=0))
 
-        estimates = estimate_weights(fit, model, _criteria(config.weights, config.interval))
+        crits = {name: CriterionConfig(weight=config.weight_function(name)) for name in config.weights}
+        estimates = estimate_weights(fit, model, crits)
         for name, est in estimates.items():
             if not np.all(np.isfinite(est.theta_hat)):
                 return ReplicationResult(rep_index, False, failure=f"non-finite estimate ({name})")

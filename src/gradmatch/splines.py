@@ -195,9 +195,14 @@ def _design(basis: BSplineBasis, times: bytes) -> np.ndarray:
     return read_only(design_matrix(basis, np.frombuffer(times)))[0]
 
 
+def _cached_design(basis: BSplineBasis, times) -> np.ndarray:
+    """design_matrix(basis, times), read-only, built once per basis and float64 times."""
+    return _design(basis, np.asarray(times, dtype=float).tobytes())
+
+
 def _least_squares(basis: BSplineBasis, ts: np.ndarray, ys: np.ndarray) -> tuple[SplineFit, np.ndarray]:
     """The fit of the (n, d) ys on the basis and its per-dimension RSS: the basis' cached design, one lstsq."""
-    return _solve(basis, ts, _design(basis, ts.tobytes()), ys)
+    return _solve(basis, ts, _cached_design(basis, ts), ys)
 
 
 def _solve(basis: BSplineBasis, ts: np.ndarray, design: np.ndarray, rhs: np.ndarray, rss0=0.0):
@@ -287,7 +292,7 @@ def grid_table(knots: KnotSequence, fine: bool = False) -> tuple[np.ndarray, ...
 
 def _normal_matrix_pinv(fit: SplineFit) -> np.ndarray:
     """Pseudoinverse of design' * design via the design's SVD (cutoff 1e-12)."""
-    design = _design(fit.basis, fit.times.tobytes())
+    design = _cached_design(fit.basis, fit.times)
     _, sv, vt = np.linalg.svd(design, full_matrices=False)
     keep = sv > SV_CUTOFF * sv[0]
     inv2 = np.zeros_like(sv)

@@ -693,6 +693,14 @@ class TestSamplePathRows:
                     assert a.shape == b.shape and a.tobytes() == b.tobytes(), (rep, selection)
         assert searched == 3  # every search here drops knots, so its fit is read in the grid's basis
 
+    def test_knots_off_the_grid_s_table_are_caught(self):
+        config = ExperimentConfig(model="glv", n=200, replications=1, seed=11, **DESIGNS["cycle"])
+        fit = select_knots(*simulate_data(config, 0), config.interval, KnotPolicy(20)).fit
+        assert fit.grid is not None
+        moved = KnotSequence(config.interval, tuple(k + 0.01 for k in fit.basis.knots.interior_knots), 4)
+        with pytest.raises(AssertionError, match="knots outside the grid's table"):
+            estimator._sample_path(dataclasses.replace(fit, basis=BSplineBasis(moved)))
+
     def test_uniform_rows_are_read_only_and_cached_per_grid(self):
         knots = KnotSequence((0.0, 7.3), tuple(uniform_knots((0.0, 7.3), 45)), 4)
         rows = estimator._uniform_rows(knots)

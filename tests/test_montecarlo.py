@@ -306,13 +306,14 @@ class TestRunReplication:
         def run():
             fit = fit_least_squares(basis, times, ys)
             estimates = []
-            for crit in mc._criteria(config.weights, config.interval).values():
+            for name in config.weights:
+                crit = CriterionConfig(weight=config.weight_function(name))
                 estimates.append(estimator.fit_linear_in_theta(fit, model, crit))
                 estimates.append(estimator.fit_nonlinear(fit, model, np.asarray(config.theta_star), crit))
             return fit, estimates
 
         clear_program_caches()
-        for cache in (splines._design, splines.grid_table, estimator._uniform_rows, mc._criteria):
+        for cache in (splines._design, splines.grid_table, estimator._uniform_rows):
             assert cache.cache_info().currsize == 0
         (cold_fit, cold), (warm_fit, warm) = run(), run()
         assert splines._design.cache_info().hits == 1
@@ -322,14 +323,16 @@ class TestRunReplication:
                 x, y = np.asarray(getattr(a, field.name)), np.asarray(getattr(b, field.name))
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), field.name
 
-    def test_one_read_only_set_of_criteria_per_weights_and_interval(self):
-        config = case1_config()
-        crits = mc._criteria(config.weights, config.interval)
-        assert mc._criteria.cache_info().maxsize is not None
-        assert mc._criteria(case1_config(seed=5).weights, (0.0, 20.0)) is crits
-        assert dict(crits) == {name: CriterionConfig(weight=config.weight_function(name)) for name in config.weights}
-        with pytest.raises(TypeError):
-            crits["uniform"] = None
+    def test_a_fixed_uniform_study_builds_one_design_for_every_replication(self, monkeypatch):
+        # every replication shares the observation times, so the fixed grid's n-row design is built once
+        calls = []
+        real = splines.design_matrix
+        monkeypatch.setattr(splines, "design_matrix", lambda *args: calls.append(args) or real(*args))
+        splines._design.cache_clear()
+        config = case1_config(n=200, replications=5, knot_policy=KnotPolicy(20, "fixed-uniform"))
+        table = run_experiment(config)
+        assert table.n_failed == 0 and len(calls) == 1
+        assert splines._design.cache_info().hits == config.replications - 1
 
     @pytest.mark.parametrize("design", ["cycle", "damped"])
     def test_diagnostics_equal_the_public_functionals_on_the_fit(self, design):

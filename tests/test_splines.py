@@ -6,6 +6,7 @@ the dense all-columns recurrence the library used before its local evaluator,
 which the local one must repeat bit for bit.
 """
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,6 +24,7 @@ from gradmatch import (
     eval_fit,
     eval_fit_derivative,
     fit_least_squares,
+    gcv_score,
     pointwise_variance,
 )
 from gradmatch import splines
@@ -597,6 +599,22 @@ class TestDesignCache:
         inv2 = np.zeros_like(sv)
         inv2[keep] = 1.0 / sv[keep] ** 2
         assert _normal_matrix_pinv(fit).tobytes() == ((vt.T * inv2) @ vt).tobytes()
+
+    def test_pointwise_variance_reads_a_fit_s_times_as_float64(self):
+        # a hand-built fit may hold its times as integers, float32 or a list
+        basis = BSplineBasis(KnotSequence((0.0, 20.0), (5.0, 10.0, 15.0), 4))
+        fit = fit_least_squares(basis, np.arange(20.0), np.cos(np.arange(20.0)))
+        want = pointwise_variance(fit, self.TIMES)
+        for times in (np.arange(20), np.arange(20, dtype=np.float32), list(range(20))):
+            splines._design.cache_clear()
+            got = pointwise_variance(dataclasses.replace(fit, times=times), self.TIMES)
+            assert got.tobytes() == want.tobytes(), type(times)
+
+    def test_gcv_score_leaves_the_design_cache_alone(self):
+        # each trial's subset basis seldom comes back, so its design is not kept
+        splines._design.cache_clear()
+        gcv_score(self.TIMES, np.sin(self.TIMES), (4.0, 8.0, 12.0), 4, (0.0, 20.0))
+        assert splines._design.cache_info().currsize == 0
 
     @pytest.mark.parametrize("t_end", [20.0, 19.98, 7.3])
     @pytest.mark.parametrize("count", [20, 30, 45, 60])
